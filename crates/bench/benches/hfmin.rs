@@ -1,13 +1,22 @@
-//! Bit-packed cube kernel vs the scalar reference, and cold vs cached
-//! minimization, on the paper's four DIFFEQ controllers plus synthetic
-//! wide-cube instances.
+//! DHF-prime generation, the bit-packed cube kernel vs the scalar
+//! reference, and cold vs cached minimization, on the paper's four DIFFEQ
+//! controllers plus synthetic wide-cube instances.
 //!
-//! The `kernel/*` group times the hot loop of DHF-prime generation — the
-//! off-set intersection and privileged-cube checks — once with the
-//! two-plane packed [`Cube`] and once with the element-wise
-//! [`ScalarCube`] reference (`adcs-hfmin` feature `scalar-ref`). Both
-//! kernels are asserted to agree before anything is timed, and the packed
-//! kernel is asserted at least 2x faster on the DIFFEQ controller set.
+//! The `primes/walk` group times the whole DHF-prime walk
+//! (`dhf_primes_with_stats`, packed planes and blocked-raise masks) against
+//! the straightforward reference walk (`primes::reference`, one
+//! `is_dhf_implicant` per raise attempt), on the required cubes of every
+//! DIFFEQ controller spec. Both walks are asserted to return the same primes
+//! in the same order and the same stats before anything is timed.
+//!
+//! The `kernel/*` group times the DHF-implicant validity check — the
+//! off-set intersection and privileged-cube tests of `is_dhf_implicant`,
+//! which the reference walk issues per raise attempt and the minimizer
+//! still uses to vet finished primes — once with the two-plane packed
+//! [`Cube`] and once with the element-wise [`ScalarCube`] reference
+//! (`adcs-hfmin` feature `scalar-ref`). Both kernels are asserted to agree
+//! before anything is timed, and the packed kernel is asserted at least 2x
+//! faster on the DIFFEQ controller set.
 //! The `cache/*` group times a full controller minimization from scratch
 //! against a warm `MinimizeCache` lookup.
 //!
@@ -16,8 +25,10 @@
 
 use adcs::MinimizeCache;
 use adcs_bench::run_diffeq_flow;
+use adcs_hfmin::cover::Cover;
 use adcs_hfmin::cube::scalar::ScalarCube;
 use adcs_hfmin::cube::{Cube, CubeVal};
+use adcs_hfmin::primes::{self, dhf_primes_with_stats};
 use adcs_hfmin::spec::FunctionSpec;
 use adcs_hfmin::{controller_specs, synthesize, SynthOptions};
 use adcs_xbm::XbmMachine;
@@ -26,10 +37,11 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// One DHF-prime-style instance: candidate pool, off-set, privileged
-/// pairs — the three cube sets `is_dhf_implicant` walks.
+/// pairs — the three cube sets `is_dhf_implicant` walks. For a spec, the
+/// pool is its required cubes: the seeds of the DHF-prime walk.
 struct KernelInstance {
     pool: Vec<Cube>,
-    off: Vec<Cube>,
+    off: Cover,
     privileged: Vec<(Cube, Cube)>,
 }
 
@@ -37,7 +49,7 @@ impl KernelInstance {
     fn from_spec(spec: &FunctionSpec) -> Self {
         let pool = spec.required_cubes();
         KernelInstance {
-            off: spec.off_cover().cubes().to_vec(),
+            off: spec.off_cover(),
             privileged: spec.privileged_cubes(),
             pool,
         }
@@ -145,7 +157,7 @@ fn wide_instance(width: usize, cubes: usize, seed: u64) -> KernelInstance {
         )
     }
     let pool: Vec<Cube> = (0..cubes).map(|_| cube(&mut rng, width, 30)).collect();
-    let off: Vec<Cube> = (0..cubes).map(|_| cube(&mut rng, width, 60)).collect();
+    let off: Cover = (0..cubes).map(|_| cube(&mut rng, width, 60)).collect();
     let privileged: Vec<(Cube, Cube)> = (0..cubes / 2)
         .map(|_| {
             let t = cube(&mut rng, width, 20);
@@ -308,5 +320,42 @@ fn bench_minimize_cache(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_cube_kernel, bench_minimize_cache);
+fn bench_primes_walk(c: &mut Criterion) {
+    let mut instances = diffeq_instances();
+    instances.retain(|i| !i.pool.is_empty());
+    let packed = || {
+        instances
+            .iter()
+            .map(|i| dhf_primes_with_stats(&i.pool, &i.off, &i.privileged))
+            .collect::<Vec<_>>()
+    };
+    let reference = || {
+        instances
+            .iter()
+            .map(|i| primes::reference::dhf_primes_with_stats(&i.pool, &i.off, &i.privileged))
+            .collect::<Vec<_>>()
+    };
+
+    // Correctness gate: same primes in the same order, same stats.
+    let p = packed();
+    assert_eq!(p, reference(), "packed and reference walks disagree");
+    let primes: usize = p.iter().flatten().map(|(p, _)| p.len()).sum();
+    println!(
+        "hfmin primes walk DIFFEQ: {} specs, {primes} primes",
+        instances.len()
+    );
+
+    let mut grp = c.benchmark_group("primes/walk");
+    grp.sample_size(10).measurement_time(Duration::from_secs(8));
+    grp.bench_function("packed", |b| b.iter(|| black_box(packed())));
+    grp.bench_function("reference", |b| b.iter(|| black_box(reference())));
+    grp.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_primes_walk,
+    bench_cube_kernel,
+    bench_minimize_cache
+);
 criterion_main!(benches);

@@ -35,8 +35,8 @@ pub struct MinimizeStats {
     pub required: usize,
     /// DHF primes generated (covering columns).
     pub primes: usize,
-    /// Word-parallel cube operations issued (prime generation upper bound
-    /// plus the covering-matrix containment tests).
+    /// Word-parallel cube operations: the prime walk's charge (see
+    /// [`crate::PrimeStats`]) plus the covering-matrix containment tests.
     pub cube_ops: u64,
 }
 

@@ -7,34 +7,71 @@
 //!
 //! For the hazard-free covering problem only DHF primes *containing a
 //! required cube* matter, so generation starts from the required cubes and
-//! exhaustively explores all literal-raising orders (memoized). This is
-//! complete: every DHF implicant containing a required cube extends to a
-//! DHF prime containing it, because both validity conditions are preserved
-//! under the raising steps that keep them true.
+//! raises one literal at a time: a depth-first walk with a LIFO stack,
+//! raises pushed in ascending variable order, and one `seen` set shared by
+//! all seeds. A cube popped after a successful `seen.insert` is processed
+//! exactly once, so a separate prime-dedup set would never reject anything.
+//! Every implicant no single raise keeps legal is emitted.
 //!
-//! The worklist is memoized by a single interned cube set: a cube popped
-//! after a successful `seen.insert` is processed exactly once, so a
-//! separate prime-dedup set would never reject anything. Expansion
-//! directions come straight off the packed cube's fixed-plane bit iterator
-//! (see [`Cube::fixed_vars`]) — no per-iteration index buffer.
+//! # Not complete
+//!
+//! The walk is **not** guaranteed to find every DHF prime containing a
+//! seed. The privileged condition is not preserved by single-literal
+//! raising: a larger DHF implicant may be reachable only through cubes that
+//! enter some `T` before containing its `A`. With seed `000`, an empty
+//! OFF-set and privileged pairs `(1-0, 110)`, `(-10, 110)`, every raise of
+//! `00-` enters a transition cube without containing `110`, so the walk
+//! emits `00-` — yet `---` is a DHF implicant containing it, so the true
+//! prime is missed (pinned by `tests::single_raises_can_miss_the_true_prime`).
+//! Every emitted cube is still a DHF implicant containing a seed, so covers
+//! stay hazard-free; they may just not be minimal.
+//!
+//! # The packed walk
+//!
+//! The walk never builds a [`Cube`] for an implicant it does not emit. It
+//! works on the interleaved `(fixed, value)` plane words of each implicant
+//! (`[f0, v0, f1, v1, …]`): 16 bytes inline for ≤ 64 variables, 32 for
+//! ≤ 128, a boxed slice beyond. One generic body serves all three. `seen`
+//! is keyed on those words under `WordHasher`.
+//!
+//! Instead of re-checking every raised cube against the whole OFF-set and
+//! privileged list, the walk computes per popped implicant `c` one
+//! **blocked-raise mask** (see `blocked_raises`) in a single pass. Since
+//! `c` is itself a DHF implicant, raising variable `i` leaves the DHF
+//! implicants iff
+//!
+//! * some OFF cube conflicts with `c` only at `i`, or
+//! * some `(T, A)` has `conflict(c, T) = {i}` and a literal of `c` outside
+//!   `{i}` is not a literal of `A` with the same polarity.
+//!
+//! Any cube that conflicts with `c` at two or more variables still
+//! conflicts after one raise; one that already meets `c` passes the
+//! privileged check for every raise because `A ⊆ c`.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::cover::Cover;
-use crate::cube::{Cube, CubeVal};
+use crate::cube::Cube;
 use crate::error::HfminError;
 
-/// Work counters from one [`dhf_primes_with_stats`] run.
+/// Charge counters from one [`dhf_primes_with_stats`] run.
+///
+/// Both fields are a deterministic **charge model**, not a count of the
+/// work done: they charge what the straightforward walk would spend — one
+/// full validity check per seed and per raise attempt — whatever the
+/// implementation actually does. The packed walk does much less, but
+/// charges exactly the same, so `RunReport`, `BENCH_report.json` and the
+/// benchmark's `hfmin.cube_ops` stay byte-identical across rewrites of the
+/// walk. Being free of wall clocks, they compare across hosts and threads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PrimeStats {
-    /// DHF-implicant validity checks performed.
+    /// Validity checks charged: one per seed, plus one per literal of
+    /// every implicant the walk expands (one per raise attempt).
     pub implicant_checks: u64,
-    /// Word-parallel cube operations issued, counted as an upper bound:
-    /// each validity check charges one intersection test per OFF-set cube
-    /// plus two tests (intersect + contain) per privileged cube, ignoring
-    /// short-circuiting. Deterministic for a given spec, unlike a wall
-    /// clock, so it can be compared across runs and threaded through
-    /// `StageStats`.
+    /// Word-parallel cube operations charged: per implicant check, one
+    /// intersection test per OFF-set cube plus two tests (intersect +
+    /// contain) per privileged cube, ignoring short-circuiting.
     pub cube_ops: u64,
 }
 
@@ -48,8 +85,9 @@ pub fn is_dhf_implicant(p: &Cube, off: &Cover, privileged: &[(Cube, Cube)]) -> b
         .all(|(t, a)| !p.intersects(t) || p.contains(a))
 }
 
-/// Generates every DHF prime that contains at least one of the `seeds`
-/// (normally the required cubes).
+/// Generates the DHF primes reachable by single-literal raises from the
+/// `seeds` (normally the required cubes). See the module docs for the walk
+/// order and for why this can miss a prime.
 ///
 /// # Errors
 ///
@@ -63,7 +101,7 @@ pub fn dhf_primes(
     dhf_primes_with_stats(seeds, off, privileged).map(|(primes, _)| primes)
 }
 
-/// [`dhf_primes`], also returning work counters.
+/// [`dhf_primes`], also returning the charge counters.
 ///
 /// # Errors
 ///
@@ -73,42 +111,276 @@ pub fn dhf_primes_with_stats(
     off: &Cover,
     privileged: &[(Cube, Cube)],
 ) -> Result<(Vec<Cube>, PrimeStats), HfminError> {
-    let mut stats = PrimeStats::default();
-    let check_cost = off.products() as u64 + 2 * privileged.len() as u64;
-    let mut check = |p: &Cube| {
-        stats.implicant_checks += 1;
-        stats.cube_ops += check_cost;
-        is_dhf_implicant(p, off, privileged)
-    };
+    match seeds.first().map_or(0, Cube::num_words) {
+        0 | 1 => walk::<Inline<2>>(seeds, off, privileged),
+        2 => walk::<Inline<4>>(seeds, off, privileged),
+        _ => walk::<Spilled>(seeds, off, privileged),
+    }
+}
 
+/// The plane words of one cube, interleaved `[f0, v0, f1, v1, …]` — the
+/// walk's stack entries and `seen` keys. Words past the cube's width are 0.
+trait Packed: Clone + Eq + Hash {
+    fn zeroed(words: usize) -> Self;
+    fn planes(&self) -> &[u64];
+    fn planes_mut(&mut self) -> &mut [u64];
+
+    fn pack(c: &Cube) -> Self {
+        let mut p = Self::zeroed(c.num_words());
+        let planes = p.planes_mut();
+        for (w, (&f, &v)) in c.fixed_words().iter().zip(c.value_words()).enumerate() {
+            planes[2 * w] = f;
+            planes[2 * w + 1] = v;
+        }
+        p
+    }
+
+    fn unpack(&self, width: usize) -> Cube {
+        let planes = self.planes();
+        Cube::from_planes_with(width, |w| (planes[2 * w], planes[2 * w + 1]))
+    }
+}
+
+/// `N / 2` words per plane, inline: 16 bytes for `N = 2`.
+#[derive(Clone, PartialEq, Eq)]
+struct Inline<const N: usize>([u64; N]);
+
+/// Cubes of more than 128 variables.
+#[derive(Clone, PartialEq, Eq)]
+struct Spilled(Box<[u64]>);
+
+impl<const N: usize> Packed for Inline<N> {
+    fn zeroed(_words: usize) -> Self {
+        Inline([0; N])
+    }
+    fn planes(&self) -> &[u64] {
+        &self.0
+    }
+    fn planes_mut(&mut self) -> &mut [u64] {
+        &mut self.0
+    }
+}
+
+impl Packed for Spilled {
+    fn zeroed(words: usize) -> Self {
+        Spilled(vec![0; 2 * words].into_boxed_slice())
+    }
+    fn planes(&self) -> &[u64] {
+        &self.0
+    }
+    fn planes_mut(&mut self) -> &mut [u64] {
+        &mut self.0
+    }
+}
+
+impl<const N: usize> Hash for Inline<N> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.iter().for_each(|&w| state.write_u64(w));
+    }
+}
+
+impl Hash for Spilled {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.iter().for_each(|&w| state.write_u64(w));
+    }
+}
+
+/// Multiply-fold hasher for `seen`: each word is XORed into the state,
+/// which is then replaced by the XOR of the two halves of its 128-bit
+/// product with an odd constant, mixing every input bit into both the low
+/// (bucket) and high (tag) bits. `seen` is only probed, never iterated,
+/// so the hash cannot reach the output order. Its keys are implicants the
+/// walk derives, and the walk is exponential and unbudgeted anyway, so
+/// giving up SipHash's flooding resistance opens nothing new.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The one variable at which `c` and `o` conflict, as `(word, bit)`, if
+/// they conflict at exactly one.
+fn lone_conflict(c: &[u64], o: &[u64]) -> Option<(usize, u64)> {
+    let mut lone = None;
+    for (w, (c, o)) in c.chunks_exact(2).zip(o.chunks_exact(2)).enumerate() {
+        let conflict = c[0] & o[0] & (c[1] ^ o[1]);
+        if conflict != 0 {
+            if lone.is_some() || conflict & (conflict - 1) != 0 {
+                return None;
+            }
+            lone = Some((w, conflict));
+        }
+    }
+    lone
+}
+
+/// The raises of the DHF implicant `c` that leave the DHF implicants, as a
+/// mask in the fixed-plane slots (`[2w]`) of the result; the module docs
+/// derive the two conditions.
+fn blocked_raises<P: Packed>(c: &P, off: &[P], privileged: &[(P, P)]) -> P {
+    let c = c.planes();
+    let mut blocked = P::zeroed(c.len() / 2);
+    let mask = blocked.planes_mut();
+    for o in off {
+        if let Some((w, bit)) = lone_conflict(c, o.planes()) {
+            mask[2 * w] |= bit;
+        }
+    }
+    for (t, a) in privileged {
+        let Some((w, bit)) = lone_conflict(c, t.planes()) else {
+            continue;
+        };
+        if mask[2 * w] & bit != 0 {
+            continue;
+        }
+        // Raised, `c` meets `T`; it must then keep only literals of `A`.
+        let escapes = c
+            .chunks_exact(2)
+            .zip(a.planes().chunks_exact(2))
+            .enumerate()
+            .any(|(v, (c, a))| {
+                let kept = if v == w { c[0] & !bit } else { c[0] };
+                kept & (!a[0] | (c[1] ^ a[1])) != 0
+            });
+        if escapes {
+            mask[2 * w] |= bit;
+        }
+    }
+    blocked
+}
+
+/// The walk of [`dhf_primes_with_stats`] over one packed representation.
+fn walk<P: Packed>(
+    seeds: &[Cube],
+    off: &Cover,
+    privileged: &[(Cube, Cube)],
+) -> Result<(Vec<Cube>, PrimeStats), HfminError> {
+    let off_packed: Vec<P> = off.iter().map(P::pack).collect();
+    let privileged_packed: Vec<(P, P)> = privileged
+        .iter()
+        .map(|(t, a)| (P::pack(t), P::pack(a)))
+        .collect();
+    let mut checks = 0u64;
     let mut primes: Vec<Cube> = Vec::new();
-    let mut seen: HashSet<Cube> = HashSet::new();
+    let mut seen: HashSet<P, BuildHasherDefault<WordHasher>> = HashSet::default();
+    let mut stack: Vec<P> = Vec::new();
 
     for seed in seeds {
-        if !check(seed) {
+        checks += 1;
+        if !is_dhf_implicant(seed, off, privileged) {
             return Err(HfminError::IllegalRequiredCube(seed.clone()));
         }
-        let mut stack = vec![seed.clone()];
+        stack.push(P::pack(seed));
         while let Some(c) = stack.pop() {
             if !seen.insert(c.clone()) {
                 continue;
             }
+            let blocked = blocked_raises(&c, &off_packed, &privileged_packed);
             let mut maximal = true;
-            for i in c.fixed_vars() {
-                let raised = c.with(i, CubeVal::Dash);
-                if check(&raised) {
-                    maximal = false;
+            for w in 0..c.planes().len() / 2 {
+                let fixed = c.planes()[2 * w];
+                checks += u64::from(fixed.count_ones());
+                let mut legal = fixed & !blocked.planes()[2 * w];
+                maximal &= legal == 0;
+                while legal != 0 {
+                    let bit = legal & legal.wrapping_neg();
+                    legal ^= bit;
+                    let mut raised = c.clone();
+                    let planes = raised.planes_mut();
+                    planes[2 * w] &= !bit;
+                    planes[2 * w + 1] &= !bit;
                     if !seen.contains(&raised) {
                         stack.push(raised);
                     }
                 }
             }
             if maximal {
-                primes.push(c);
+                primes.push(c.unpack(seed.width()));
             }
         }
     }
+
+    let check_cost = off.products() as u64 + 2 * privileged.len() as u64;
+    let stats = PrimeStats {
+        implicant_checks: checks,
+        cube_ops: checks * check_cost,
+    };
     Ok((primes, stats))
+}
+
+/// The straightforward walk the packed one replaced: a `HashSet<Cube>`
+/// and a full [`is_dhf_implicant`] per raise attempt. Kept as the
+/// differential-testing oracle and benchmark baseline (`benches/hfmin.rs`);
+/// not used by the minimizer itself.
+#[cfg(any(test, feature = "scalar-ref"))]
+pub mod reference {
+    use std::collections::HashSet;
+
+    use super::{is_dhf_implicant, PrimeStats};
+    use crate::cover::Cover;
+    use crate::cube::{Cube, CubeVal};
+    use crate::error::HfminError;
+
+    /// [`super::dhf_primes_with_stats`], the straightforward way: same
+    /// primes in the same order, same stats, same errors.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`super::dhf_primes`].
+    pub fn dhf_primes_with_stats(
+        seeds: &[Cube],
+        off: &Cover,
+        privileged: &[(Cube, Cube)],
+    ) -> Result<(Vec<Cube>, PrimeStats), HfminError> {
+        let mut stats = PrimeStats::default();
+        let check_cost = off.products() as u64 + 2 * privileged.len() as u64;
+        let mut check = |p: &Cube| {
+            stats.implicant_checks += 1;
+            stats.cube_ops += check_cost;
+            is_dhf_implicant(p, off, privileged)
+        };
+
+        let mut primes: Vec<Cube> = Vec::new();
+        let mut seen: HashSet<Cube> = HashSet::new();
+
+        for seed in seeds {
+            if !check(seed) {
+                return Err(HfminError::IllegalRequiredCube(seed.clone()));
+            }
+            let mut stack = vec![seed.clone()];
+            while let Some(c) = stack.pop() {
+                if !seen.insert(c.clone()) {
+                    continue;
+                }
+                let mut maximal = true;
+                for i in c.fixed_vars() {
+                    let raised = c.with(i, CubeVal::Dash);
+                    if check(&raised) {
+                        maximal = false;
+                        if !seen.contains(&raised) {
+                            stack.push(raised);
+                        }
+                    }
+                }
+                if maximal {
+                    primes.push(c);
+                }
+            }
+        }
+        Ok((primes, stats))
+    }
 }
 
 #[cfg(test)]
@@ -147,6 +419,27 @@ mod tests {
         // The key illegal cube would be "1--": intersects T at 1-0 but
         // does not contain A; it must not be produced.
         assert!(!p.contains(&Cube::parse("1--")));
+    }
+
+    #[test]
+    fn single_raises_can_miss_the_true_prime() {
+        // Pins today's output, which is wrong. Every single raise of 00-
+        // enters a transition cube (1-0 or -10) without containing 110, so
+        // the walk stops at 00- — but --- contains 110 and meets both
+        // transition cubes, so it is a DHF implicant and 00- is not prime.
+        // Fixing this changes covers; until then the module docs say the
+        // walk is not complete.
+        let priv_cubes = vec![
+            (Cube::parse("1-0"), Cube::parse("110")),
+            (Cube::parse("-10"), Cube::parse("110")),
+        ];
+        let p = dhf_primes(&[Cube::parse("000")], &Cover::new(), &priv_cubes).unwrap();
+        assert_eq!(p, vec![Cube::parse("00-")]);
+        assert!(is_dhf_implicant(
+            &Cube::universe(3),
+            &Cover::new(),
+            &priv_cubes
+        ));
     }
 
     #[test]
@@ -201,5 +494,121 @@ mod tests {
             dhf_primes_with_stats(&[Cube::parse("001")], &off(&["110"]), &priv_cubes).unwrap();
         // One OFF cube + 2 ops per privileged pair = 3 per check.
         assert_eq!(stats.cube_ops, 3 * stats.implicant_checks);
+    }
+}
+
+#[cfg(test)]
+mod reference_agreement {
+    //! The packed walk differentially tested against the reference walk on
+    //! random instances in each plane-word representation: ≤ 64, 65–128
+    //! and > 128 variables.
+
+    use super::*;
+    use crate::cube::CubeVal;
+    use proptest::prelude::*;
+
+    /// Variables an instance touches; at most 2^SUPPORT implicants per seed
+    /// keeps the exponential walk small.
+    const SUPPORT: usize = 9;
+
+    /// One instance: seeds, OFF-set, privileged pairs.
+    #[derive(Debug)]
+    struct Instance {
+        seeds: Vec<Cube>,
+        off: Cover,
+        privileged: Vec<(Cube, Cube)>,
+    }
+
+    /// Widths 1–64, 65–128 and 129–200 in equal shares; `SUPPORT` distinct
+    /// variables spread over the width (so they straddle word seams); the
+    /// seeds fix them all, the other cubes fix random subsets, and each
+    /// privileged `A` is its `T` with extra literals, as in real specs.
+    fn instance_strategy() -> impl Strategy<Value = Instance> {
+        (
+            0usize..3,
+            0usize..72,
+            proptest::collection::vec(0u64..u64::MAX, SUPPORT..SUPPORT + 1),
+            proptest::collection::vec(
+                proptest::collection::vec(0u8..2, SUPPORT..SUPPORT + 1),
+                1..4,
+            ),
+            proptest::collection::vec(
+                proptest::collection::vec(0u8..3, SUPPORT..SUPPORT + 1),
+                0..10,
+            ),
+            proptest::collection::vec(
+                proptest::collection::vec(0u8..5, SUPPORT..SUPPORT + 1),
+                0..5,
+            ),
+        )
+            .prop_map(|(band, extra, picks, seeds, offs, privs)| {
+                let width = match band {
+                    0 => 1 + extra % 64,
+                    1 => 65 + extra % 64,
+                    _ => 129 + extra,
+                };
+                // Distinct support variables (fewer when the width is small).
+                let mut support: Vec<usize> = Vec::new();
+                for pick in picks {
+                    let v = (pick % width as u64) as usize;
+                    if !support.contains(&v) {
+                        support.push(v);
+                    }
+                }
+                let cube = |vals: &[u8], lit: &dyn Fn(u8) -> CubeVal| {
+                    let mut c = vec![CubeVal::Dash; width];
+                    for (&v, &x) in support.iter().zip(vals) {
+                        c[v] = lit(x);
+                    }
+                    Cube::new(c)
+                };
+                let ternary = |x: u8| match x {
+                    0 => CubeVal::Zero,
+                    1 => CubeVal::One,
+                    _ => CubeVal::Dash,
+                };
+                let seeds: Vec<Cube> = seeds.iter().map(|s| cube(s, &ternary)).collect();
+                // Only later seeds may be illegal, so most cases walk.
+                let first = &seeds[0];
+                let off = offs
+                    .iter()
+                    .map(|o| cube(o, &ternary))
+                    .filter(|o| !o.intersects(first))
+                    .collect();
+                let privileged = privs
+                    .iter()
+                    .map(|p| {
+                        // T fixes 0/1 where p is 0/1; A additionally where p is 2/3.
+                        let t = cube(p, &|x| ternary(if x < 2 { x } else { 2 }));
+                        let a = cube(p, &|x| ternary(if x < 4 { x % 2 } else { 2 }));
+                        (t, a)
+                    })
+                    .filter(|(t, a)| !first.intersects(t) || first.contains(a))
+                    .collect();
+                Instance {
+                    seeds,
+                    off,
+                    privileged,
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        #[test]
+        fn packed_walk_agrees_with_the_reference(inst in instance_strategy()) {
+            let packed = dhf_primes_with_stats(&inst.seeds, &inst.off, &inst.privileged);
+            let oracle =
+                reference::dhf_primes_with_stats(&inst.seeds, &inst.off, &inst.privileged);
+            match (packed, oracle) {
+                (Ok(p), Ok(r)) => prop_assert_eq!(p, r),
+                (
+                    Err(HfminError::IllegalRequiredCube(p)),
+                    Err(HfminError::IllegalRequiredCube(r)),
+                ) => prop_assert_eq!(p, r),
+                (p, r) => prop_assert!(false, "packed {:?} vs reference {:?}", p, r),
+            }
+        }
     }
 }
