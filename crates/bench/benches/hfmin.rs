@@ -21,7 +21,8 @@
 //! against a warm `MinimizeCache` lookup.
 //!
 //! Run with `cargo bench --bench hfmin`; results are recorded in
-//! EXPERIMENTS.md.
+//! EXPERIMENTS.md. A name filter (`-- primes`) skips the set-up and gates
+//! of every group it cannot select, not just their timing loops.
 
 use adcs::MinimizeCache;
 use adcs_bench::run_diffeq_flow;
@@ -191,6 +192,15 @@ fn time_kernel(iters: u32, mut f: impl FnMut() -> u64) -> Duration {
 }
 
 fn bench_cube_kernel(c: &mut Criterion) {
+    if c.selects("hfmin/kernel_diffeq") {
+        bench_kernel_diffeq(c);
+    }
+    if c.selects("hfmin/kernel_wide130") {
+        bench_kernel_wide(c);
+    }
+}
+
+fn bench_kernel_diffeq(c: &mut Criterion) {
     let packed = diffeq_instances();
     let scalar: Vec<ScalarKernelInstance> = packed.iter().map(|i| i.to_scalar()).collect();
 
@@ -224,9 +234,11 @@ fn bench_cube_kernel(c: &mut Criterion) {
         b.iter(|| black_box(scalar.iter().map(|i| i.run()).sum::<u64>()))
     });
     grp.finish();
+}
 
-    // Synthetic wide instances: >64 variables exercises the multi-word
-    // path that no paper controller reaches.
+/// Synthetic wide instances: >64 variables exercises the multi-word path
+/// that no paper controller reaches.
+fn bench_kernel_wide(c: &mut Criterion) {
     let wide_packed: Vec<KernelInstance> = (0..4)
         .map(|i| wide_instance(130, 48, 0x9e3779b97f4a7c15 ^ i))
         .collect();
@@ -247,6 +259,9 @@ fn bench_cube_kernel(c: &mut Criterion) {
 }
 
 fn bench_minimize_cache(c: &mut Criterion) {
+    if !c.selects("hfmin/minimize") {
+        return;
+    }
     // The paper's four controllers plus the Figure-8 example's three, so
     // the cache sees a mixed working set. (Larger non-paper designs such
     // as the biquad cascade extract controllers whose exact hazard-free
@@ -321,6 +336,9 @@ fn bench_minimize_cache(c: &mut Criterion) {
 }
 
 fn bench_primes_walk(c: &mut Criterion) {
+    if !c.selects("primes/walk") {
+        return;
+    }
     let mut instances = diffeq_instances();
     instances.retain(|i| !i.pool.is_empty());
     let packed = || {

@@ -371,6 +371,9 @@ fn emit_run_report() {
 }
 
 fn bench_scaling(c: &mut Criterion) {
+    if !c.selects("mc/diffeq_baseline") {
+        return;
+    }
     headline();
     if std::env::var("MC_BENCH_QUICK").is_ok() {
         return;
@@ -388,7 +391,7 @@ fn bench_scaling(c: &mut Criterion) {
 }
 
 fn bench_cache(c: &mut Criterion) {
-    if std::env::var("MC_BENCH_QUICK").is_ok() {
+    if std::env::var("MC_BENCH_QUICK").is_ok() || !c.selects("mc/cache") {
         return;
     }
     let base = Baseline::new();

@@ -28,11 +28,16 @@
 //! The search proceeds in **waves** (breadth-first levels). Each wave's
 //! frontier lives in a packed [`Arena`]: every state is a fixed number of
 //! `u64` words (machine states, signal-value bitset, register presence
-//! bitset + values) plus a flat run of pending events — successor
-//! generation decodes and re-encodes through per-worker scratch buffers
-//! and allocates nothing on the hot path. The frontier is split into
-//! contiguous chunks expanded in parallel (the offline rayon shim's
-//! deterministic ordered-batch pattern, as in `timing.rs`); each worker
+//! bitset + values) plus a flat run of 8-byte pending events. The network
+//! is compiled once per search onto that word layout (`Net`): per-signal
+//! wire fanout and datapath actions, each machine's transitions grouped
+//! by source state, and each statement reduced to register slots. A
+//! successor is the parent's words copied into the chunk's output buffer
+//! and stepped in place — no interpreter, register map, or re-encoding on
+//! the hot path, and no allocation once the per-worker buffers are warm.
+//! The frontier is split into contiguous chunks expanded in parallel (the
+//! offline rayon shim's deterministic ordered-batch pattern, as in
+//! `timing.rs`); each worker
 //! only *reads* the sharded visited set, and the merge that follows runs
 //! sequentially in global state order, inserting discoveries shard by
 //! shard without any locking. Verdicts, statistics, and counterexample
@@ -43,12 +48,20 @@
 //!
 //! The visited set is split into `2^shard_bits` fingerprint-sharded
 //! sub-sets ([`McOptions::shard_bits`]) storing **128-bit fingerprints**
-//! of the canonicalized states (two independently salted 64-bit hashes)
-//! rather than full clones — 16 bytes per state, which is what allows the
-//! raised default state budget. A fingerprint collision would silently
-//! prune a distinct state; with `n` visited states the probability is
-//! ≲ n²/2¹²⁹ (about 10⁻²⁶ even at the default budget), far below the
-//! chance of a hardware fault.
+//! of the canonicalized states rather than full clones — 16 bytes per
+//! state, which is what allows the raised default state budget. The
+//! fingerprint is one pass over the words and events into two 64-bit
+//! multiply-fold lanes with their own seeds and multipliers; one lane
+//! picks the shard, the other is the in-shard hash. A fingerprint
+//! collision would silently prune a distinct state. With `n` visited
+//! states the probability is ≲ n²/2¹²⁹ (about 10⁻²⁶ even at the default
+//! budget) *if* the two lanes behave like independent uniform hashes of
+//! the distinct states — an assumption about the mixing, not a proof: the
+//! lanes are fixed-seed multiply-fold mixes, not a keyed universal family,
+//! so adversarially structured state sets could do worse, and no test can
+//! observe a collision directly. The fingerprint is never persisted (spill
+//! segments die with their search, and [`McCache`] keys use
+//! `StableHasher`), so the hash can change between versions freely.
 //!
 //! The wave order returns the *shallowest* counterexample — but by the
 //! same token it cannot reach a violation that only occurs many events
@@ -66,11 +79,12 @@
 //! no condition-level watches reaches the same state in either order.
 //! With [`McOptions::por`] (on by default) the checker precomputes that
 //! **static independence relation** from the network topology and the
-//! datapath's [`McFootprint`]s, and at each state expands only an *ample*
-//! subset of the pending events: the events of one connected component of
-//! the dependence graph restricted to the machines with pending events
-//! (the component with the fewest events, ties to the lowest machine
-//! index — a deterministic choice). Events in other components can
+//! datapath's static action table ([`McDatapathSpec`]), and at each state
+//! expands only an *ample* subset of the pending events: the events of
+//! one connected component of the dependence graph restricted to the
+//! machines with pending events (the component with the fewest events,
+//! ties to the lowest machine index — a deterministic choice). Events in
+//! other components can
 //! neither create events into, receive events from, nor clash with the
 //! chosen component, so every pruned interleaving commutes into an
 //! explored one. The standard **cycle proviso** guards against a reduced
@@ -97,10 +111,9 @@
 //! set ⊕ wire network ⊕ stimuli ⊕ datapath behavior, so candidates that
 //! synthesize identical controller networks skip the search entirely.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::{self, File};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -109,103 +122,65 @@ use std::sync::{Arc, Mutex};
 
 use adcs_cache::store::ns;
 use adcs_cache::{checksum64, StableHasher, Store};
+use adcs_cdfg::rtl::{Op, Operand, RtlStatement};
 use adcs_cdfg::Reg;
 use adcs_obs::lock_recover;
 use adcs_obs::metrics::{Counter, Metrics};
-use adcs_sim::network::{Datapath, Wire, WireEnd};
-use adcs_xbm::interp::Interp;
-use adcs_xbm::{SignalId, StateId, XbmMachine};
+use adcs_sim::network::Wire;
+use adcs_xbm::{SignalId, StateId, XbmError, XbmMachine};
 use rayon::prelude::*;
 
 use crate::error::SynthError;
-use crate::system::{SystemDatapath, SystemParts};
+use crate::system::SystemParts;
 
-/// A datapath whose mutable state can be checkpointed, as the model
-/// checker requires.
-pub trait McDatapath: Datapath {
-    /// Captures the mutable state as a canonical sorted register list.
-    fn save_state(&self) -> Vec<(Reg, i64)>;
-    /// Restores a snapshot taken with [`Self::save_state`].
-    fn restore_state(&mut self, saved: &[(Reg, i64)]);
-    /// Every register that can ever appear in [`Self::save_state`] over
-    /// the lifetime of one check. The checker packs register files into
-    /// fixed-width arena slots keyed by this universe, so a register
-    /// missing here would silently fall out of the explored state. The
-    /// default derives the universe from the current state, which is only
-    /// correct for datapaths that never materialize registers mid-run.
-    fn register_universe(&self) -> Vec<Reg> {
-        self.save_state().into_iter().map(|(r, _)| r).collect()
-    }
-    /// Visits every live register with its value, in any order. The
-    /// default allocates via [`Self::save_state`]; implementations on the
-    /// hot path should override it with a direct walk.
-    fn for_each_reg(&self, f: &mut dyn FnMut(&Reg, i64)) {
-        for (r, v) in self.save_state() {
-            f(&r, v);
-        }
-    }
-    /// Per-action dependence footprints for the partial-order reduction
-    /// (see [`McOptions::por`]), keyed by `(machine, raw output signal)`
-    /// — what the datapath does when that output toggles. `None` means
-    /// the datapath cannot describe its actions statically; POR then
-    /// degrades to full expansion, which is always sound. The default is
-    /// `None`.
-    fn action_footprints(&self) -> Option<HashMap<(usize, u32), McActionFootprint>> {
-        None
-    }
-}
-
-/// What the datapath does when one machine output toggles: the registers
-/// the triggered statements read and write, the acknowledge signals it
-/// toggles back into the firing machine, and the condition-level wire
-/// ends it refreshes on a write. The raw material of the model checker's
-/// static independence relation.
-#[derive(Clone, Debug, Default)]
-pub struct McActionFootprint {
-    /// Registers read by the triggered statements.
-    pub reads: Vec<Reg>,
-    /// Registers written by the triggered statements.
-    pub writes: Vec<Reg>,
-    /// Raw signal indices acknowledged back into the firing machine.
-    pub acks: Vec<u32>,
-    /// Condition-level wire ends `(machine, raw signal)` refreshed when
-    /// the triggered statements write a watched register.
-    pub levels: Vec<(usize, u32)>,
-}
-
-impl McDatapath for SystemDatapath {
-    fn save_state(&self) -> Vec<(Reg, i64)> {
-        SystemDatapath::save_state(self)
-    }
-    fn restore_state(&mut self, saved: &[(Reg, i64)]) {
-        SystemDatapath::restore_state(self, saved);
-    }
-    fn register_universe(&self) -> Vec<Reg> {
-        SystemDatapath::register_universe(self)
-    }
-    fn for_each_reg(&self, f: &mut dyn FnMut(&Reg, i64)) {
-        for (r, v) in self.registers() {
-            f(r, *v);
-        }
-    }
-    fn action_footprints(&self) -> Option<HashMap<(usize, u32), McActionFootprint>> {
-        Some(SystemDatapath::action_footprints(self))
-    }
+/// A datapath the model checker can compile: it describes its initial
+/// register file and its static reaction table once per check, and the
+/// checker executes that description directly on packed states.
+pub trait McDatapath {
+    /// The description the checker compiles (see [`McDatapathSpec`]).
+    fn spec(&self) -> McDatapathSpec;
 }
 
 impl McDatapath for () {
-    fn save_state(&self) -> Vec<(Reg, i64)> {
-        Vec::new()
-    }
-    fn restore_state(&mut self, _: &[(Reg, i64)]) {}
-    fn register_universe(&self) -> Vec<Reg> {
-        Vec::new()
-    }
-    fn for_each_reg(&self, _: &mut dyn FnMut(&Reg, i64)) {}
-    fn action_footprints(&self) -> Option<HashMap<(usize, u32), McActionFootprint>> {
+    fn spec(&self) -> McDatapathSpec {
         // No datapath: machine firings only interact over the wires.
-        Some(HashMap::new())
+        McDatapathSpec::default()
     }
+}
+
+/// A datapath as the model checker sees it: how it reacts when a machine
+/// output toggles, with delays dropped (the checker explores every order).
+#[derive(Clone, Debug, Default)]
+pub struct McDatapathSpec {
+    /// The initial register file.
+    pub regs: Vec<(Reg, i64)>,
+    /// Statement bodies, referred to by index from [`McAction::Write`].
+    /// Their destinations join the initial registers in the packed
+    /// register file.
+    pub stmts: Vec<RtlStatement>,
+    /// Reactions keyed by `(machine, raw output signal)`, each list in
+    /// firing order.
+    pub actions: Vec<((usize, u32), Vec<McAction>)>,
+    /// Condition-level wire ends `(machine, signal)` set to `value != 0`
+    /// whenever the watched register is written, in refresh order.
+    pub levels: Vec<(usize, SignalId, Reg)>,
+}
+
+/// One reaction of the datapath to a toggle of a machine output.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum McAction {
+    /// Acknowledge on this input of the firing machine, with the output's
+    /// new value.
+    Ack(SignalId),
+    /// Acknowledge like [`McAction::Ack`]; on a rising output first
+    /// execute statement `stmt` (when present) and refresh the level ends
+    /// watching its destination.
+    Write {
+        /// Index into [`McDatapathSpec::stmts`].
+        stmt: Option<usize>,
+        /// The acknowledge input.
+        ack: SignalId,
+    },
 }
 
 /// Environment stimuli and timing-assumption annotations for a check.
@@ -393,13 +368,41 @@ impl McVerdict {
 }
 
 /// One in-flight event: a toggle (channel wire) or an explicit set
-/// (datapath response), destined for one machine input.
+/// (datapath response), destined for one machine input. Packed into 8
+/// bytes: the pending lists are most of a wave's successor buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct PendEv {
-    machine: usize,
     signal: SignalId,
+    machine: u16,
     /// `None` = toggle at delivery; `Some(v)` = set to `v`.
     set: Option<bool>,
+}
+
+const _: () = assert!(std::mem::size_of::<PendEv>() == 8);
+
+impl PendEv {
+    fn new(machine: usize, signal: SignalId, set: Option<bool>) -> PendEv {
+        PendEv {
+            signal,
+            // validate_network bounds the machine count by u16::MAX.
+            machine: machine as u16,
+            set,
+        }
+    }
+
+    fn machine(self) -> usize {
+        usize::from(self.machine)
+    }
+
+    /// The event as one fingerprint word.
+    fn word(self) -> u64 {
+        let tag = match self.set {
+            None => 0u64,
+            Some(false) => 1,
+            Some(true) => 2,
+        };
+        self.signal.index() as u64 | u64::from(self.machine) << 32 | tag << 48
+    }
 }
 
 /// Stable-sorts the in-flight events by destination, preserving per-wire
@@ -418,19 +421,61 @@ fn eligible_at(pending: &[PendEv], i: usize) -> bool {
     }
 }
 
-/// 128-bit fingerprint of a canonicalized packed state: two independently
-/// salted 64-bit hashes (see the module docs for the collision odds).
-fn fingerprint(fixed: &[u64], pending: &[PendEv]) -> u128 {
-    let mut h1 = DefaultHasher::new();
-    0x9e37_79b9_7f4a_7c15u64.hash(&mut h1);
-    fixed.hash(&mut h1);
-    pending.hash(&mut h1);
-    let mut h2 = DefaultHasher::new();
-    0xc2b2_ae3d_27d4_eb4fu64.hash(&mut h2);
-    fixed.hash(&mut h2);
-    pending.hash(&mut h2);
-    (u128::from(h1.finish()) << 64) | u128::from(h2.finish())
+#[inline]
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    (p as u64) ^ ((p >> 64) as u64)
 }
+
+/// 128-bit fingerprint of a canonicalized packed state, in one pass over
+/// its words and pending events: two 64-bit multiply-fold lanes with
+/// their own seeds, multipliers and rotation, so a collision in one lane
+/// says nothing about the other (see the module docs for the odds). The
+/// high lane picks the visited shard, the low lane hashes within it.
+fn fingerprint(fixed: &[u64], pending: &[PendEv]) -> u128 {
+    const SEED_HI: u64 = 0x9e37_79b9_7f4a_7c15;
+    const SEED_LO: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const MUL_HI: u64 = 0xbf58_476d_1ce4_e5b9;
+    const MUL_LO: u64 = 0x94d0_49bb_1331_11eb;
+    let (mut hi, mut lo) = (SEED_HI, SEED_LO);
+    let words = fixed
+        .iter()
+        .copied()
+        .chain(pending.iter().map(|e| e.word()));
+    for x in words {
+        hi = fold_mul(hi ^ x, MUL_HI);
+        lo = fold_mul(lo.rotate_left(29) ^ x, MUL_LO);
+    }
+    // The fixed part has one width per search; the pending count
+    // separates states whose event runs differ only in length.
+    let n = pending.len() as u64;
+    hi = fold_mul(hi ^ n, MUL_LO);
+    lo = fold_mul(lo ^ n.rotate_left(32), MUL_HI);
+    (u128::from(hi) << 64) | u128::from(lo)
+}
+
+/// Hasher of the fingerprint sets: the low lane of a fingerprint is
+/// already a mixed hash, so it passes through unchanged.
+#[derive(Clone, Copy, Default)]
+struct LaneHasher(u64);
+
+impl Hasher for LaneHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u128(&mut self, fp: u128) {
+        self.0 = fp as u64;
+    }
+}
+
+type FpSet = HashSet<u128, BuildHasherDefault<LaneHasher>>;
 
 /// The static pairwise dependence relation over *endpoints* — the
 /// `(machine, input signal)` pairs an event can target — as bitmask
@@ -451,8 +496,8 @@ fn fingerprint(fixed: &[u64], pending: &[PendEv]) -> u128 {
 /// * **created endpoints** — wire fanout targets of the triggered
 ///   outputs, datapath acknowledge endpoints, and (under asynchronous
 ///   levels) the refreshed level endpoints;
-/// * **read/written registers** — from the triggered
-///   [`McActionFootprint`]s.
+/// * **read/written registers** — the register slots of the statements
+///   the triggered outputs run.
 ///
 /// Two endpoints are dependent when their fired-machine sets overlap
 /// (including `a == b`'s machine), one creates into the other (FIFO
@@ -466,9 +511,8 @@ fn fingerprint(fixed: &[u64], pending: &[PendEv]) -> u128 {
 /// and full expansion (`por: false`) is the reference oracle — the
 /// regression proptests assert verdict agreement between the two.
 struct Por {
-    /// Dense endpoint index over every input signal: `(machine, raw
-    /// signal)` → row.
-    idx: HashMap<(usize, u32), u32>,
+    /// Dense endpoint row by global signal bit; `u32::MAX` for outputs.
+    row: Vec<u32>,
     /// Row width of `dep` in u64 words.
     words: usize,
     /// Row-major endpoint-pair dependence bitmatrix.
@@ -494,44 +538,29 @@ fn rows_overlap(v: &[u64], a: usize, b: usize, w: usize) -> bool {
 }
 
 impl Por {
-    fn build(
-        machines: &[&XbmMachine],
-        wires: &[Wire],
-        afps: &HashMap<(usize, u32), McActionFootprint>,
-        sync_levels: bool,
-    ) -> Por {
-        // Endpoint universe: every input signal of every machine.
-        let mut idx: HashMap<(usize, u32), u32> = HashMap::new();
+    /// Builds the relation from the compiled network's tables: machine
+    /// transitions, wire fanout, and the datapath actions per output.
+    fn build(net: &Net<'_>, sync_levels: bool) -> Por {
+        // Endpoint universe: every input signal of every machine, in
+        // global signal bit order.
+        let mut row: Vec<u32> = Vec::with_capacity(net.ends.len());
         let mut eps: Vec<(usize, u32)> = Vec::new();
-        for (m, machine) in machines.iter().enumerate() {
+        for (m, machine) in net.machines.iter().enumerate() {
             for (sid, si) in machine.signals() {
                 if si.input {
-                    idx.insert((m, sid.index() as u32), eps.len() as u32);
+                    row.push(eps.len() as u32);
                     eps.push((m, sid.index() as u32));
+                } else {
+                    row.push(u32::MAX);
                 }
             }
         }
         let ne = eps.len();
-        let mwords = machines.len().div_ceil(64).max(1);
+        let mwords = net.machines.len().div_ceil(64).max(1);
         let ewords = ne.div_ceil(64).max(1);
-
-        // Register interning across all action footprints.
-        let mut regs: HashMap<&Reg, u32> = HashMap::new();
-        for afp in afps.values() {
-            for r in afp.reads.iter().chain(&afp.writes) {
-                let next = regs.len() as u32;
-                regs.entry(r).or_insert(next);
-            }
-        }
-        let rwords = regs.len().div_ceil(64).max(1);
-
-        let mut by_src: HashMap<(usize, u32), Vec<(usize, u32)>> = HashMap::new();
-        for w in wires {
-            by_src
-                .entry((w.from.machine, w.from.signal.index() as u32))
-                .or_default()
-                .extend(w.to.iter().map(|e| (e.machine, e.signal.index() as u32)));
-        }
+        let rwords = net.regs.len().div_ceil(64).max(1);
+        let set =
+            |v: &mut [u64], r: usize, w: usize, k: usize| v[r * w + k / 64] |= 1u64 << (k % 64);
 
         // Per-endpoint effect rows.
         let mut fired = vec![0u64; ne * mwords];
@@ -540,8 +569,8 @@ impl Por {
         let mut wr = vec![0u64; ne * rwords];
         let mut casc: Vec<Vec<u32>> = vec![Vec::new(); ne];
         for (e, &(m, s)) in eps.iter().enumerate() {
-            fired[e * mwords + m / 64] |= 1u64 << (m % 64);
-            for t in machines[m].transitions() {
+            set(&mut fired, e, mwords, m);
+            for t in net.machines[m].transitions() {
                 // Attribute `t`'s effects to this endpoint only when the
                 // signal can gate `t`'s enabling: compulsory edges must
                 // arrive and sampled levels must match, but a directed
@@ -551,32 +580,32 @@ impl Por {
                     continue;
                 }
                 for &o in &t.output {
-                    let okey = (m, o.index() as u32);
-                    for &(tm, ts) in by_src.get(&okey).map(Vec::as_slice).unwrap_or(&[]) {
-                        if let Some(&te) = idx.get(&(tm, ts)) {
-                            cr[e * ewords + te as usize / 64] |= 1u64 << (te % 64);
+                    let info = &net.ends[net.bit(m, o)];
+                    for &(tm, ts) in span(&net.fanout, &info.fanout) {
+                        match row[net.bit(usize::from(tm), ts)] {
+                            u32::MAX => {}
+                            te => set(&mut cr, e, ewords, te as usize),
                         }
                     }
-                    let Some(afp) = afps.get(&okey) else { continue };
-                    for &ack in &afp.acks {
-                        if let Some(&te) = idx.get(&(m, ack)) {
-                            cr[e * ewords + te as usize / 64] |= 1u64 << (te % 64);
+                    for act in span(&net.acts, &info.acts) {
+                        match row[net.bit(m, act.ack)] {
+                            u32::MAX => {}
+                            te => set(&mut cr, e, ewords, te as usize),
                         }
-                    }
-                    for r in &afp.reads {
-                        let ri = regs[r];
-                        rd[e * rwords + ri as usize / 64] |= 1u64 << (ri % 64);
-                    }
-                    for r in &afp.writes {
-                        let ri = regs[r];
-                        wr[e * rwords + ri as usize / 64] |= 1u64 << (ri % 64);
-                    }
-                    for &(lm, ls) in &afp.levels {
-                        if let Some(&te) = idx.get(&(lm, ls)) {
-                            if sync_levels {
-                                casc[e].push(te);
-                            } else {
-                                cr[e * ewords + te as usize / 64] |= 1u64 << (te % 64);
+                        let Some(st) = act.stmt.map(|i| &net.stmts[i as usize]) else {
+                            continue;
+                        };
+                        for src in [st.lhs, st.rhs] {
+                            if let Src::Slot(k) = src {
+                                set(&mut rd, e, rwords, k);
+                            }
+                        }
+                        set(&mut wr, e, rwords, st.dest);
+                        for &(lm, ls) in span(&net.refresh, &st.levels) {
+                            match row[net.bit(usize::from(lm), ls)] {
+                                u32::MAX => {}
+                                te if sync_levels => casc[e].push(te),
+                                te => set(&mut cr, e, ewords, te as usize),
                             }
                         }
                     }
@@ -642,7 +671,7 @@ impl Por {
             }
         }
         Por {
-            idx,
+            row,
             words: ewords,
             dep,
         }
@@ -663,6 +692,7 @@ impl Por {
     /// stable lowest-endpoint rule by ~4x explored states on DIFFEQ.
     fn select(
         &self,
+        net: &Net<'_>,
         pend: &[PendEv],
         eps: &mut Vec<usize>,
         uf: &mut Vec<u32>,
@@ -673,9 +703,9 @@ impl Por {
         eps.clear();
         for (i, e) in pend.iter().enumerate() {
             if eligible_at(pend, i) {
-                match self.idx.get(&(e.machine, e.signal.index() as u32)) {
-                    Some(&ep) => eps.push(ep as usize),
-                    None => return false,
+                match self.row[net.bit(e.machine(), e.signal)] {
+                    u32::MAX => return false,
+                    ep => eps.push(ep as usize),
                 }
             }
         }
@@ -750,7 +780,7 @@ impl Por {
 /// fingerprint segment each and membership falls back to a binary
 /// search over that segment.
 struct ShardedVisited {
-    shards: Vec<HashSet<u128>>,
+    shards: Vec<FpSet>,
     mask: u64,
     count: usize,
     disk: Option<VisitedDisk>,
@@ -760,7 +790,7 @@ impl ShardedVisited {
     fn new(bits: u32) -> Self {
         let n = 1usize << bits.min(12);
         ShardedVisited {
-            shards: (0..n).map(|_| HashSet::new()).collect(),
+            shards: (0..n).map(|_| FpSet::default()).collect(),
             mask: (n - 1) as u64,
             count: 0,
             disk: None,
@@ -780,7 +810,7 @@ impl ShardedVisited {
 
     #[inline]
     fn shard_of(&self, fp: u128) -> usize {
-        ((fp as u64) & self.mask) as usize
+        ((fp >> 64) as u64 & self.mask) as usize
     }
 
     /// In-memory membership only — the workers' lock-free pre-filter. A
@@ -1125,7 +1155,7 @@ impl Drop for FrontierSeg {
 /// Estimated resident bytes of one frontier state: packed words, pending
 /// events, one arena slot, and the worst-case (unshared) trace chain.
 fn frontier_state_bytes(words: usize, pend: usize, depth: usize) -> usize {
-    words * 8 + pend * 16 + depth * 48 + 64
+    words * 8 + pend * std::mem::size_of::<PendEv>() + depth * 48 + 64
 }
 
 impl FrontierStore {
@@ -1193,7 +1223,7 @@ impl FrontierStore {
 }
 
 fn encode_ev(out: &mut Vec<u8>, e: &PendEv) {
-    out.extend_from_slice(&(e.machine as u32).to_le_bytes());
+    out.extend_from_slice(&u32::from(e.machine).to_le_bytes());
     out.extend_from_slice(&(e.signal.index() as u32).to_le_bytes());
     out.push(match e.set {
         None => 0,
@@ -1215,9 +1245,11 @@ fn decode_ev(b: &[u8], pos: &mut usize) -> Result<PendEv, SynthError> {
             )))
         }
     };
+    let machine = u16::try_from(u32::from_le_bytes(m))
+        .map_err(|_| SynthError::Precondition("mc spill: corrupt frontier event machine".into()))?;
     Ok(PendEv {
-        machine: u32::from_le_bytes(m) as usize,
         signal: SignalId::from_raw(u32::from_le_bytes(s)),
+        machine,
         set,
     })
 }
@@ -1319,123 +1351,311 @@ fn read_frontier_seg(path: &Path, width: usize, count: u64) -> Result<Arena, Syn
     Ok(arena)
 }
 
-/// Word layout of one packed state: per-machine control states (two per
-/// word), the concatenated signal-value bitset, and the register file as
-/// a presence bitset plus one value word per register in the sorted
-/// universe.
-struct Layout {
-    sig_counts: Vec<u32>,
+/// The network of one check, compiled onto the packed state words: the
+/// machines' control states (two per word), the signal-value bitset, and
+/// the register file as a presence bitset plus one value word per
+/// register in the sorted universe. Signals are numbered by *global
+/// signal bit* — machine-major, signal-minor — and every table below is
+/// indexed by it. Successor generation copies a parent's words and runs
+/// [`Net::step`] on the copy; nothing is decoded or re-encoded.
+struct Net<'a> {
+    machines: &'a [&'a XbmMachine],
+    /// Global signal bit of each machine's signal 0.
+    base: Vec<u32>,
     state_words: usize,
     sig_words: usize,
     presence_words: usize,
     regs: Vec<Reg>,
     words: usize,
+    /// Per global signal bit.
+    ends: Vec<EndInfo>,
+    /// Wire fanout targets, sliced by [`EndInfo::fanout`].
+    fanout: Vec<(u16, SignalId)>,
+    /// Datapath actions, sliced by [`EndInfo::acts`].
+    acts: Vec<Act>,
+    stmts: Vec<Stmt>,
+    /// Level ends refreshed by statement writes, sliced by
+    /// [`Stmt::levels`].
+    refresh: Vec<(u16, SignalId)>,
+    /// Per machine.
+    tables: Vec<Table>,
+    /// Every machine's transitions, grouped by source state and in index
+    /// order within a group.
+    trans: Vec<Trans>,
+    /// `(global bit, target value)` of compulsory and level terms.
+    terms: Vec<(u32, bool)>,
+    outs: Vec<SignalId>,
 }
 
-impl Layout {
-    fn new(machines: &[&XbmMachine], datapath: &impl McDatapath) -> Result<Layout, SynthError> {
-        let sig_counts: Vec<u32> = machines
-            .iter()
-            .map(|m| {
-                u32::try_from(m.signals().count()).map_err(|_| {
-                    SynthError::Precondition(format!(
-                        "machine {} has more signals than the packed state layout supports",
-                        m.name()
-                    ))
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let total_sigs: usize = sig_counts.iter().map(|&c| c as usize).sum();
-        let state_words = machines.len().div_ceil(2);
-        let sig_words = total_sigs.div_ceil(64);
-        let mut regs = datapath.register_universe();
+/// What happens at one endpoint (global signal bit).
+#[derive(Clone, Default)]
+struct EndInfo {
+    input: bool,
+    /// A condition-level end delivered inside its writer's step.
+    sync_level: bool,
+    fanout: Range<u32>,
+    acts: Range<u32>,
+}
+
+/// One datapath reaction to an output toggle: acknowledge on `ack`, and
+/// on a rising output first run statement `stmt`.
+#[derive(Clone, Copy)]
+struct Act {
+    ack: SignalId,
+    stmt: Option<u32>,
+}
+
+/// A statement compiled to register slots.
+struct Stmt {
+    dest: usize,
+    op: Op,
+    lhs: Src,
+    rhs: Src,
+    levels: Range<u32>,
+}
+
+#[derive(Clone, Copy)]
+enum Src {
+    Slot(usize),
+    Const(i64),
+}
+
+/// A machine's transition index: `from[q]..from[q + 1]` is the slice of
+/// [`Net::trans`] leaving state `q`.
+struct Table {
+    from: Vec<u32>,
+    /// The livelock guard: at most `T² + 16` firings per input change.
+    guard: usize,
+}
+
+/// A transition that can fire (it has a compulsory term).
+struct Trans {
+    index: u32,
+    to: u32,
+    terms: Range<u32>,
+    outs: Range<u32>,
+}
+
+fn span<'v, T>(v: &'v [T], r: &Range<u32>) -> &'v [T] {
+    &v[r.start as usize..r.end as usize]
+}
+
+/// A delivery that cannot proceed: the violation kind and its detail.
+type StepError = (McViolationKind, String);
+
+/// Steps one delivery may take through synchronous level updates before
+/// the cascade counts as unsettled.
+const CASCADE_GUARD: usize = 10_000;
+
+/// Per-worker buffers of [`Net::step`].
+#[derive(Default)]
+struct StepScratch {
+    immediate: VecDeque<(u16, SignalId, bool)>,
+    changes: Vec<(SignalId, bool)>,
+}
+
+impl<'a> Net<'a> {
+    fn compile(
+        machines: &'a [&'a XbmMachine],
+        wires: &[Wire],
+        dp: &McDatapathSpec,
+        stimuli: &McStimuli,
+        sync_levels: bool,
+    ) -> Result<Net<'a>, SynthError> {
+        let mut base = Vec::with_capacity(machines.len());
+        let mut ends: Vec<EndInfo> = Vec::new();
+        for m in machines {
+            base.push(u32::try_from(ends.len()).map_err(|_| {
+                SynthError::Precondition(format!(
+                    "machine {} has more signals than the packed state layout supports",
+                    m.name()
+                ))
+            })?);
+            ends.extend(m.signals().map(|(_, si)| EndInfo {
+                input: si.input,
+                ..EndInfo::default()
+            }));
+        }
+        let bit_of = |what: &str, m: usize, s: SignalId| -> Result<usize, SynthError> {
+            match machines.get(m) {
+                Some(machine) if s.index() < machine.signals().count() => {
+                    Ok(base[m] as usize + s.index())
+                }
+                _ => Err(SynthError::Precondition(format!(
+                    "datapath {what} references signal #{} of machine #{m}, outside the network",
+                    s.index()
+                ))),
+            }
+        };
+        let mut regs: Vec<Reg> = dp.regs.iter().map(|(r, _)| r.clone()).collect();
+        regs.extend(dp.stmts.iter().map(|s| s.dest.clone()));
         regs.sort();
         regs.dedup();
+        if sync_levels {
+            for &(m, s) in &stimuli.levels {
+                ends[base[m] as usize + s.index()].sync_level = true;
+            }
+        }
+
+        // Wire fanout and datapath actions, grouped by driving endpoint
+        // in declaration order.
+        let mut by_src: Vec<Vec<(u16, SignalId)>> = vec![Vec::new(); ends.len()];
+        for w in wires {
+            by_src[base[w.from.machine] as usize + w.from.signal.index()]
+                .extend(w.to.iter().map(|e| (e.machine as u16, e.signal)));
+        }
+        let mut acts_by_src: Vec<Vec<Act>> = vec![Vec::new(); ends.len()];
+        for &((m, s), ref list) in &dp.actions {
+            let src = bit_of("action", m, SignalId::from_raw(s))?;
+            for action in list {
+                let (ack, stmt) = match *action {
+                    McAction::Ack(ack) => (ack, None),
+                    McAction::Write { stmt, ack } => (ack, stmt),
+                };
+                bit_of("acknowledge", m, ack)?;
+                if stmt.is_some_and(|i| i >= dp.stmts.len()) {
+                    return Err(SynthError::Precondition(format!(
+                        "datapath action on machine #{m} runs a statement outside its table"
+                    )));
+                }
+                acts_by_src[src].push(Act {
+                    ack,
+                    stmt: stmt.map(|i| i as u32),
+                });
+            }
+        }
+        let mut fanout = Vec::new();
+        let mut acts = Vec::new();
+        for (e, info) in ends.iter_mut().enumerate() {
+            let at = fanout.len() as u32;
+            fanout.extend_from_slice(&by_src[e]);
+            info.fanout = at..fanout.len() as u32;
+            let at = acts.len() as u32;
+            acts.extend_from_slice(&acts_by_src[e]);
+            info.acts = at..acts.len() as u32;
+        }
+
+        let slot = |r: &Reg| regs.binary_search(r).ok();
+        let src = |o: Option<&Operand>| match o {
+            Some(Operand::Reg(r)) => slot(r).map_or(Src::Const(0), Src::Slot),
+            Some(Operand::Const(c)) => Src::Const(*c),
+            None => Src::Const(0),
+        };
+        let mut refresh = Vec::new();
+        let mut stmts = Vec::with_capacity(dp.stmts.len());
+        for s in &dp.stmts {
+            let at = refresh.len() as u32;
+            for &(m, lvl, ref reg) in &dp.levels {
+                if *reg == s.dest {
+                    bit_of("level", m, lvl)?;
+                    refresh.push((m as u16, lvl));
+                }
+            }
+            stmts.push(Stmt {
+                dest: slot(&s.dest).expect("destinations are in the universe"),
+                op: s.op,
+                lhs: src(Some(&s.lhs)),
+                rhs: src(s.rhs.as_ref()),
+                levels: at..refresh.len() as u32,
+            });
+        }
+
+        let mut tables = Vec::with_capacity(machines.len());
+        let mut trans = Vec::new();
+        let mut terms = Vec::new();
+        let mut outs = Vec::new();
+        for (m, machine) in machines.iter().enumerate() {
+            let ts = machine.transitions();
+            let nstates = ts
+                .iter()
+                .flat_map(|t| [t.from.index(), t.to.index()])
+                .chain([machine.initial().index()])
+                .max()
+                .map_or(0, |q| q + 1);
+            let mut by_state: Vec<Vec<Trans>> = (0..nstates).map(|_| Vec::new()).collect();
+            for (index, t) in ts.iter().enumerate() {
+                // A burst without a compulsory edge never fires.
+                if !t.input.iter().any(|term| term.kind.is_compulsory()) {
+                    continue;
+                }
+                let at = terms.len() as u32;
+                terms.extend(
+                    t.input
+                        .iter()
+                        .filter(|term| !term.kind.is_ddc())
+                        .map(|term| (base[m] + term.signal.index() as u32, term.kind.target())),
+                );
+                let term_range = at..terms.len() as u32;
+                let at = outs.len() as u32;
+                outs.extend(t.output.iter().copied());
+                by_state[t.from.index()].push(Trans {
+                    index: index as u32,
+                    to: t.to.index() as u32,
+                    terms: term_range,
+                    outs: at..outs.len() as u32,
+                });
+            }
+            let mut from = Vec::with_capacity(nstates + 1);
+            for group in by_state {
+                from.push(trans.len() as u32);
+                trans.extend(group);
+            }
+            from.push(trans.len() as u32);
+            tables.push(Table {
+                from,
+                guard: ts.len().saturating_mul(ts.len()) + 16,
+            });
+        }
+
+        let state_words = machines.len().div_ceil(2);
+        let sig_words = ends.len().div_ceil(64);
         let presence_words = regs.len().div_ceil(64);
-        let words = state_words + sig_words + presence_words + regs.len();
-        Ok(Layout {
-            sig_counts,
+        Ok(Net {
+            machines,
+            base,
             state_words,
             sig_words,
             presence_words,
+            words: state_words + sig_words + presence_words + regs.len(),
             regs,
-            words,
+            ends,
+            fanout,
+            acts,
+            stmts,
+            refresh,
+            tables,
+            trans,
+            terms,
+            outs,
         })
+    }
+
+    /// The packed reset state: initial control states and signal values,
+    /// and the datapath's initial register file.
+    fn initial(&self, dp: &McDatapathSpec) -> Vec<u64> {
+        let mut w = vec![0u64; self.words];
+        for (m, machine) in self.machines.iter().enumerate() {
+            self.set_state(&mut w, m, machine.initial().index() as u32);
+            for (s, si) in machine.signals() {
+                self.put(&mut w, self.bit(m, s), si.initial);
+            }
+        }
+        let (pbase, vbase) = (self.reg_base(), self.reg_base() + self.presence_words);
+        for (r, v) in &dp.regs {
+            let k = self
+                .regs
+                .binary_search(r)
+                .expect("registers are in the universe");
+            w[pbase + k / 64] |= 1u64 << (k % 64);
+            w[vbase + k] = *v as u64;
+        }
+        w
     }
 
     /// First word of the register-file section (presence + values); two
     /// packed states have equal register files iff these suffixes match.
     fn reg_base(&self) -> usize {
         self.state_words + self.sig_words
-    }
-
-    /// Appends the packed encoding of the live configuration to `out`.
-    fn encode<D: McDatapath>(&self, interps: &[Interp<'_>], datapath: &D, out: &mut Vec<u64>) {
-        let base = out.len();
-        out.resize(base + self.words, 0);
-        let w = &mut out[base..];
-        for (m, it) in interps.iter().enumerate() {
-            w[m / 2] |= (it.state().index() as u64) << ((m % 2) * 32);
-        }
-        let mut bit = 0usize;
-        for (m, it) in interps.iter().enumerate() {
-            for s in 0..self.sig_counts[m] {
-                if it.value(SignalId::from_raw(s)) {
-                    w[self.state_words + bit / 64] |= 1u64 << (bit % 64);
-                }
-                bit += 1;
-            }
-        }
-        let pbase = self.reg_base();
-        let vbase = pbase + self.presence_words;
-        datapath.for_each_reg(&mut |r, v| {
-            if let Ok(slot) = self.regs.binary_search(r) {
-                w[pbase + slot / 64] |= 1u64 << (slot % 64);
-                w[vbase + slot] = v as u64;
-            }
-        });
-    }
-
-    /// Materializes a packed state into the worker's interpreters and
-    /// datapath, reusing the scratch buffers in `ctx`. When the register
-    /// presence set matches the previous restore (the steady state), only
-    /// values are rewritten — no `Reg` name clones.
-    fn restore<D: McDatapath>(&self, w: &[u64], ctx: &mut Ctx<'_, D>) -> Result<(), SynthError> {
-        let mut bit = 0usize;
-        for (m, interp) in ctx.interps.iter_mut().enumerate() {
-            let st = StateId::from_raw(((w[m / 2] >> ((m % 2) * 32)) & 0xffff_ffff) as u32);
-            ctx.vals.clear();
-            for _ in 0..self.sig_counts[m] {
-                ctx.vals
-                    .push((w[self.state_words + bit / 64] >> (bit % 64)) & 1 == 1);
-                bit += 1;
-            }
-            interp.restore(st, &ctx.vals).map_err(SynthError::Xbm)?;
-        }
-        let pbase = self.reg_base();
-        let vbase = pbase + self.presence_words;
-        let presence = &w[pbase..pbase + self.presence_words];
-        if ctx.presence_valid && ctx.presence == presence {
-            let mut k = 0usize;
-            for (slot, _) in self.regs.iter().enumerate() {
-                if (presence[slot / 64] >> (slot % 64)) & 1 == 1 {
-                    ctx.regs[k].1 = w[vbase + slot] as i64;
-                    k += 1;
-                }
-            }
-        } else {
-            ctx.regs.clear();
-            for (slot, r) in self.regs.iter().enumerate() {
-                if (presence[slot / 64] >> (slot % 64)) & 1 == 1 {
-                    ctx.regs.push((r.clone(), w[vbase + slot] as i64));
-                }
-            }
-            ctx.presence.clear();
-            ctx.presence.extend_from_slice(presence);
-            ctx.presence_valid = true;
-        }
-        ctx.datapath.restore_state(&ctx.regs);
-        Ok(())
     }
 
     /// Decodes the register-file section (`reg_base()` onward) into the
@@ -1449,62 +1669,214 @@ impl Layout {
             .map(|(slot, r)| (r.clone(), regwords[vbase + slot] as i64))
             .collect()
     }
+
+    fn bit(&self, m: usize, s: SignalId) -> usize {
+        self.base[m] as usize + s.index()
+    }
+
+    fn get(&self, w: &[u64], bit: usize) -> bool {
+        (w[self.state_words + bit / 64] >> (bit % 64)) & 1 == 1
+    }
+
+    fn put(&self, w: &mut [u64], bit: usize, v: bool) {
+        let word = &mut w[self.state_words + bit / 64];
+        *word = (*word & !(1u64 << (bit % 64))) | (u64::from(v) << (bit % 64));
+    }
+
+    fn state(&self, w: &[u64], m: usize) -> usize {
+        ((w[m / 2] >> ((m % 2) * 32)) & 0xffff_ffff) as usize
+    }
+
+    fn set_state(&self, w: &mut [u64], m: usize, q: u32) {
+        let sh = (m % 2) * 32;
+        w[m / 2] = (w[m / 2] & !(0xffff_ffff << sh)) | (u64::from(q) << sh);
+    }
+
+    fn read(&self, w: &[u64], src: Src) -> i64 {
+        match src {
+            Src::Slot(k) => w[self.reg_base() + self.presence_words + k] as i64,
+            Src::Const(c) => c,
+        }
+    }
+
+    fn machine_error(&self, m: usize, e: XbmError) -> StepError {
+        (
+            McViolationKind::Ambiguity,
+            format!("{}: {e}", self.machines[m].name()),
+        )
+    }
+
+    /// Delivers one event to the packed state `w`, cascading machine
+    /// firings into wire toggles and datapath responses. Synchronous
+    /// level updates are applied within the same step; everything else
+    /// joins `pend`.
+    fn step(
+        &self,
+        w: &mut [u64],
+        pend: &mut Vec<PendEv>,
+        ev: PendEv,
+        sc: &mut StepScratch,
+    ) -> Result<(), StepError> {
+        let StepScratch { immediate, changes } = sc;
+        immediate.clear();
+        let v = ev
+            .set
+            .unwrap_or_else(|| !self.get(w, self.bit(ev.machine(), ev.signal)));
+        immediate.push_back((ev.machine, ev.signal, v));
+        let mut guard = 0usize;
+        while let Some((m16, s, v)) = immediate.pop_front() {
+            guard += 1;
+            if guard > CASCADE_GUARD {
+                return Err((
+                    McViolationKind::Ambiguity,
+                    "synchronous level cascade did not settle".into(),
+                ));
+            }
+            let m = usize::from(m16);
+            let bit = self.bit(m, s);
+            if !self.ends[bit].input {
+                let e = XbmError::Direction {
+                    signal: s,
+                    expected_input: true,
+                };
+                return Err(self.machine_error(m, e));
+            }
+            self.put(w, bit, v);
+            changes.clear();
+            self.fire(w, m, changes)
+                .map_err(|e| self.machine_error(m, e))?;
+            for &(o, val) in changes.iter() {
+                let info = &self.ends[self.bit(m, o)];
+                // Channel wires: one toggle per receiving leg; a leg
+                // already carrying an undelivered toggle is transmission
+                // interference.
+                for &(tm, ts) in span(&self.fanout, &info.fanout) {
+                    if pend
+                        .iter()
+                        .any(|p| p.machine == tm && p.signal == ts && p.set.is_none())
+                    {
+                        let target = self.machines[usize::from(tm)];
+                        let name = target.signal(ts).map(|si| si.name.as_str()).unwrap_or("");
+                        return Err((
+                            McViolationKind::WireInterference,
+                            format!("two events in flight on wire {name} of {}", target.name()),
+                        ));
+                    }
+                    pend.push(PendEv {
+                        signal: ts,
+                        machine: tm,
+                        set: None,
+                    });
+                }
+                // Datapath reactions (delays dropped: all orders explored).
+                for act in span(&self.acts, &info.acts) {
+                    self.respond(immediate, pend, m16, act.ack, val);
+                    let Some(si) = act.stmt.filter(|_| val) else {
+                        continue;
+                    };
+                    let st = &self.stmts[si as usize];
+                    let x = st.op.apply(self.read(w, st.lhs), self.read(w, st.rhs));
+                    let pbase = self.reg_base();
+                    w[pbase + st.dest / 64] |= 1u64 << (st.dest % 64);
+                    w[pbase + self.presence_words + st.dest] = x as u64;
+                    for &(lm, ls) in span(&self.refresh, &st.levels) {
+                        self.respond(immediate, pend, lm, ls, x != 0);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Routes one datapath response: into the running step for a
+    /// synchronous level end, onto the pending list otherwise.
+    fn respond(
+        &self,
+        immediate: &mut VecDeque<(u16, SignalId, bool)>,
+        pend: &mut Vec<PendEv>,
+        m: u16,
+        s: SignalId,
+        v: bool,
+    ) {
+        if self.ends[self.bit(usize::from(m), s)].sync_level {
+            immediate.push_back((m, s, v));
+        } else {
+            pend.push(PendEv {
+                signal: s,
+                machine: m,
+                set: Some(v),
+            });
+        }
+    }
+
+    /// Fires machine `m`'s enabled transitions until it quiesces,
+    /// appending its output changes in firing order. A transition is
+    /// enabled once every compulsory edge and sampled level of its burst
+    /// matches; two at once is a runtime burst ambiguity.
+    fn fire(
+        &self,
+        w: &mut [u64],
+        m: usize,
+        changes: &mut Vec<(SignalId, bool)>,
+    ) -> Result<(), XbmError> {
+        let table = &self.tables[m];
+        for _ in 0..table.guard {
+            let q = self.state(w, m);
+            let group = match table.from.get(q..q + 2) {
+                Some(&[lo, hi]) => &self.trans[lo as usize..hi as usize],
+                _ => &[],
+            };
+            let mut found: Option<&Trans> = None;
+            for t in group {
+                let enabled = span(&self.terms, &t.terms)
+                    .iter()
+                    .all(|&(b, target)| self.get(w, b as usize) == target);
+                if !enabled {
+                    continue;
+                }
+                if let Some(prev) = found {
+                    return Err(XbmError::Structure(format!(
+                        "transitions #{} and #{} both enabled in {}",
+                        prev.index,
+                        t.index,
+                        StateId::from_raw(q as u32)
+                    )));
+                }
+                found = Some(t);
+            }
+            let Some(t) = found else {
+                return Ok(());
+            };
+            for &o in span(&self.outs, &t.outs) {
+                let b = self.bit(m, o);
+                let nv = !self.get(w, b);
+                self.put(w, b, nv);
+                changes.push((o, nv));
+            }
+            self.set_state(w, m, t.to);
+        }
+        Err(XbmError::Structure(format!(
+            "machine {} did not quiesce (livelock?)",
+            self.machines[m].name()
+        )))
+    }
 }
 
-/// Per-worker scratch: interpreters, a private datapath clone, and every
-/// buffer successor generation needs, so the expansion loop is
-/// allocation-free once warm.
-struct Ctx<'m, D> {
-    interps: Vec<Interp<'m>>,
-    datapath: D,
-    vals: Vec<bool>,
-    regs: Vec<(Reg, i64)>,
-    presence: Vec<u64>,
-    presence_valid: bool,
+/// Per-worker scratch: the step buffers, the successor's pending list,
+/// the chunk's emitted fingerprints, and the partial-order reduction
+/// buffers, so the expansion loop is allocation-free once warm.
+#[derive(Default)]
+struct Ctx {
+    step: StepScratch,
     pend: Vec<PendEv>,
-    immediate: VecDeque<(usize, SignalId, bool)>,
+    /// Fingerprints the current chunk already emitted: a later duplicate
+    /// would only fail its merge-side insert, so it is dropped here.
+    seen: FpSet,
     // Partial-order reduction scratch (see `Por::select`).
     por_mach: Vec<usize>,
     por_uf: Vec<u32>,
     por_cnt: Vec<u32>,
     por_keep: Vec<bool>,
-}
-
-impl<'m, D: McDatapath> Ctx<'m, D> {
-    fn new(machines: &[&'m XbmMachine], datapath: D) -> Self {
-        Ctx {
-            interps: machines.iter().map(|m| Interp::new(m)).collect(),
-            datapath,
-            vals: Vec::new(),
-            regs: Vec::new(),
-            presence: Vec::new(),
-            presence_valid: false,
-            pend: Vec::new(),
-            immediate: VecDeque::new(),
-            por_mach: Vec::new(),
-            por_uf: Vec::new(),
-            por_cnt: Vec::new(),
-            por_keep: Vec::new(),
-        }
-    }
-}
-
-/// Static network context shared by every delivery.
-struct NetCtx<'a> {
-    fanout: &'a HashMap<(usize, SignalId), Vec<WireEnd>>,
-    levels: &'a HashSet<(usize, SignalId)>,
-    sync_levels: bool,
-}
-
-fn build_fanout(wires: &[Wire]) -> HashMap<(usize, SignalId), Vec<WireEnd>> {
-    let mut fanout: HashMap<(usize, SignalId), Vec<WireEnd>> = HashMap::new();
-    for w in wires {
-        fanout
-            .entry((w.from.machine, w.from.signal))
-            .or_default()
-            .extend(w.to.iter().copied());
-    }
-    fanout
 }
 
 /// What one frontier state produced.
@@ -1542,13 +1914,17 @@ struct ChunkOut {
 /// violating delivery: everything it would have produced afterwards is
 /// strictly later in the global (state, event) order, so the merge never
 /// misses an earlier counterexample.
-fn expand_chunk<D: McDatapath>(
-    ctx: &mut Ctx<'_, D>,
-    layout: &Layout,
+///
+/// A successor whose fingerprint the chunk already emitted is dropped:
+/// the merge inserts the earlier copy first, so the later one could only
+/// fail its insert — under the budget stop, the cycle proviso's
+/// `any_new`, and the depth hunt alike.
+fn expand_chunk(
+    ctx: &mut Ctx,
+    net: &Net<'_>,
     frontier: &Arena,
     range: Range<usize>,
     visited: &ShardedVisited,
-    net: &NetCtx<'_>,
     por: Option<&Por>,
 ) -> Result<ChunkOut, SynthError> {
     let mut out = ChunkOut {
@@ -1557,6 +1933,7 @@ fn expand_chunk<D: McDatapath>(
         pend: Vec::new(),
         meta: Vec::new(),
     };
+    ctx.seen.clear();
     'states: for g in range {
         let pend = frontier.pending(g);
         if pend.is_empty() {
@@ -1565,6 +1942,7 @@ fn expand_chunk<D: McDatapath>(
         }
         let reduced = match por {
             Some(p) => p.select(
+                net,
                 pend,
                 &mut ctx.por_mach,
                 &mut ctx.por_uf,
@@ -1585,18 +1963,14 @@ fn expand_chunk<D: McDatapath>(
                 pruned += 1;
                 continue;
             }
-            layout.restore(fixed, ctx)?;
+            let mark = out.fixed.len();
+            out.fixed.extend_from_slice(fixed);
             ctx.pend.clear();
             ctx.pend.extend_from_slice(pend);
             let ev = ctx.pend.remove(i);
-            if let Err((kind, detail)) = deliver(
-                &mut ctx.interps,
-                &mut ctx.datapath,
-                net,
-                &mut ctx.pend,
-                &mut ctx.immediate,
-                ev,
-            ) {
+            if let Err((kind, detail)) =
+                net.step(&mut out.fixed[mark..], &mut ctx.pend, ev, &mut ctx.step)
+            {
                 // Drop this state's earlier successors: the merge returns
                 // at the violation, so they would only desync its cursors.
                 out.fixed.truncate(marks.0);
@@ -1606,10 +1980,8 @@ fn expand_chunk<D: McDatapath>(
                 break 'states;
             }
             canonicalize(&mut ctx.pend);
-            let mark = out.fixed.len();
-            layout.encode(&ctx.interps, &ctx.datapath, &mut out.fixed);
             let fp = fingerprint(&out.fixed[mark..], &ctx.pend);
-            if visited.contains_mem(fp) {
+            if visited.contains_mem(fp) || !ctx.seen.insert(fp) {
                 out.fixed.truncate(mark);
             } else {
                 out.pend.extend_from_slice(&ctx.pend);
@@ -1644,7 +2016,7 @@ fn expand_chunk<D: McDatapath>(
 ///
 /// [`SynthError::Xbm`] if the initial level stimuli are rejected by a
 /// machine (structural mis-wiring, as opposed to a search result).
-pub fn model_check<D: McDatapath + Clone + Send>(
+pub fn model_check<D: McDatapath>(
     machines: &[&XbmMachine],
     wires: &[Wire],
     datapath: D,
@@ -1688,6 +2060,12 @@ fn validate_network(
     wires: &[Wire],
     stimuli: &McStimuli,
 ) -> Result<(), SynthError> {
+    if machines.len() > usize::from(u16::MAX) {
+        return Err(SynthError::Precondition(format!(
+            "the network has {} machines; the checker packs machine indices into 16 bits",
+            machines.len()
+        )));
+    }
     let check = |what: &str, m: usize, s: SignalId| -> Result<(), SynthError> {
         let machine = *machines.get(m).ok_or_else(|| {
             SynthError::Precondition(format!(
@@ -1722,72 +2100,39 @@ fn validate_network(
     Ok(())
 }
 
-fn search<D: McDatapath + Clone + Send>(
+fn search<D: McDatapath>(
     machines: &[&XbmMachine],
     wires: &[Wire],
     datapath: D,
     stimuli: &McStimuli,
     opts: &McOptions,
 ) -> Result<McVerdict, SynthError> {
-    let layout = Layout::new(machines, &datapath)?;
-    let fanout = build_fanout(wires);
-    let level_set: HashSet<(usize, SignalId)> = stimuli.levels.iter().copied().collect();
-    let net = NetCtx {
-        fanout: &fanout,
-        levels: &level_set,
-        sync_levels: opts.synchronous_levels,
-    };
+    let spec = datapath.spec();
+    let net = Net::compile(machines, wires, &spec, stimuli, opts.synchronous_levels)?;
 
     // Initial conditions are set synchronously, before the start events.
-    let mut ctx0 = Ctx::new(machines, datapath.clone());
+    let mut init_fixed = net.initial(&spec);
     let mut pending: Vec<PendEv> = Vec::new();
+    let mut scratch = StepScratch::default();
     for &(m, s, v) in &stimuli.level_init {
-        deliver(
-            &mut ctx0.interps,
-            &mut ctx0.datapath,
-            &net,
+        net.step(
+            &mut init_fixed,
             &mut pending,
-            &mut ctx0.immediate,
-            PendEv {
-                machine: m,
-                signal: s,
-                set: Some(v),
-            },
+            PendEv::new(m, s, Some(v)),
+            &mut scratch,
         )
         .map_err(|(_, detail)| SynthError::Extract(format!("initial levels: {detail}")))?;
     }
     for &(m, s) in &stimuli.kicks {
-        pending.push(PendEv {
-            machine: m,
-            signal: s,
-            set: None,
-        });
+        pending.push(PendEv::new(m, s, None));
     }
     canonicalize(&mut pending);
 
-    let mut init_fixed = Vec::new();
-    layout.encode(&ctx0.interps, &ctx0.datapath, &mut init_fixed);
-
-    let por = if opts.por {
-        datapath
-            .action_footprints()
-            .map(|afps| Por::build(machines, wires, &afps, opts.synchronous_levels))
-    } else {
-        None
-    };
+    let por = opts.por.then(|| Por::build(&net, opts.synchronous_levels));
     let por = por.as_ref();
 
     if opts.order == McOrder::Depth {
-        return search_depth(
-            machines,
-            &layout,
-            &net,
-            ctx0,
-            &init_fixed,
-            &pending,
-            opts,
-            por,
-        );
+        return search_depth(machines, &net, &init_fixed, &pending, opts, por);
     }
 
     let spill_dir = match &opts.spill_dir {
@@ -1809,15 +2154,12 @@ fn search<D: McDatapath + Clone + Send>(
             spilled_segments: 0,
         })
     };
-    let mut cur = FrontierStore::new(layout.words, fspill(&spill_dir));
+    let mut cur = FrontierStore::new(net.words, fspill(&spill_dir));
     cur.push(&init_fixed, &pending, None)?;
-    let mut nxt = FrontierStore::new(layout.words, fspill(&spill_dir));
+    let mut nxt = FrontierStore::new(net.words, fspill(&spill_dir));
 
     let workers = rayon::current_num_threads().max(1);
-    let ctx_pool: Vec<Mutex<Ctx<'_, D>>> = std::iter::once(ctx0)
-        .chain((1..workers).map(|_| Ctx::new(machines, datapath.clone())))
-        .map(Mutex::new)
-        .collect();
+    let ctx_pool: Vec<Mutex<Ctx>> = (0..workers).map(|_| Mutex::default()).collect();
 
     let mut stats = McStats {
         shards: visited.shards.len(),
@@ -1889,11 +2231,10 @@ fn search<D: McDatapath + Clone + Send>(
                     };
                     expand_chunk(
                         &mut guard,
-                        &layout,
+                        &net,
                         frontier,
                         c * chunk..((c + 1) * chunk).min(n),
                         &visited,
-                        &net,
                         por,
                     )
                 })
@@ -1910,14 +2251,14 @@ fn search<D: McDatapath + Clone + Send>(
                     match res {
                         StateOut::Terminal => {
                             stats.terminals += 1;
-                            let regs = &frontier.fixed(g)[layout.reg_base()..];
+                            let regs = &frontier.fixed(g)[net.reg_base()..];
                             match &outcome {
                                 None => outcome = Some(regs.to_vec()),
                                 Some(first) if first.as_slice() != regs => {
                                     stats.states = visited.count;
                                     let detail = diff_outcomes(
-                                        &layout.decode_reg_words(first),
-                                        &layout.decode_reg_words(regs),
+                                        &net.decode_reg_words(first),
+                                        &net.decode_reg_words(regs),
                                     );
                                     seal!();
                                     return Ok(McVerdict::Violation {
@@ -1949,8 +2290,8 @@ fn search<D: McDatapath + Clone + Send>(
                             for _ in 0..*n_succ {
                                 let meta = &out.meta[mcur];
                                 mcur += 1;
-                                let fslice = &out.fixed[fcur..fcur + layout.words];
-                                fcur += layout.words;
+                                let fslice = &out.fixed[fcur..fcur + net.words];
+                                fcur += net.words;
                                 let pslice = &out.pend[pcur..pcur + meta.pend_len as usize];
                                 pcur += meta.pend_len as usize;
                                 if !visited.insert(meta.fp)? {
@@ -1987,11 +2328,10 @@ fn search<D: McDatapath + Clone + Send>(
                                         let mut g0 = lock_recover(&ctx_pool[0]);
                                         expand_chunk(
                                             &mut g0,
-                                            &layout,
+                                            &net,
                                             frontier,
                                             g..g + 1,
                                             &visited,
-                                            &net,
                                             None,
                                         )?
                                     };
@@ -2013,8 +2353,8 @@ fn search<D: McDatapath + Clone + Send>(
                                     }
                                     let (mut ffcur, mut fpcur) = (0usize, 0usize);
                                     for meta in &full.meta {
-                                        let fslice = &full.fixed[ffcur..ffcur + layout.words];
-                                        ffcur += layout.words;
+                                        let fslice = &full.fixed[ffcur..ffcur + net.words];
+                                        ffcur += net.words;
                                         let pslice =
                                             &full.pend[fpcur..fpcur + meta.pend_len as usize];
                                         fpcur += meta.pend_len as usize;
@@ -2051,7 +2391,7 @@ fn search<D: McDatapath + Clone + Send>(
     seal!();
     Ok(McVerdict::Verified {
         outcome: outcome
-            .map(|w| layout.decode_reg_words(&w))
+            .map(|w| net.decode_reg_words(&w))
             .unwrap_or_default(),
         stats,
     })
@@ -2069,20 +2409,18 @@ const MIN_CHUNK: usize = 64;
 /// doubles as the search stack and every pop runs through the same
 /// single-state chunk expansion as the wave search, so delivery
 /// semantics, violation detection, and budget accounting are shared.
-#[allow(clippy::too_many_arguments)]
-fn search_depth<D: McDatapath>(
+fn search_depth(
     machines: &[&XbmMachine],
-    layout: &Layout,
-    net: &NetCtx<'_>,
-    mut ctx: Ctx<'_, D>,
+    net: &Net<'_>,
     init_fixed: &[u64],
     pending: &[PendEv],
     opts: &McOptions,
     por: Option<&Por>,
 ) -> Result<McVerdict, SynthError> {
+    let mut ctx = Ctx::default();
     let mut visited = ShardedVisited::new(opts.shard_bits);
     visited.insert(fingerprint(init_fixed, pending))?;
-    let mut stack = Arena::new(layout.words);
+    let mut stack = Arena::new(net.words);
     stack.push(init_fixed, pending, None);
     let mut stats = McStats {
         shards: visited.shards.len(),
@@ -2101,7 +2439,7 @@ fn search_depth<D: McDatapath>(
         stats.batches += 1;
         let g = stack.len() - 1;
         stats.max_pending = stats.max_pending.max(stack.pending(g).len());
-        let mut out = expand_chunk(&mut ctx, layout, &stack, g..g + 1, &visited, net, por)?;
+        let mut out = expand_chunk(&mut ctx, net, &stack, g..g + 1, &visited, por)?;
         if let StateOut::Expanded {
             reduced: true,
             pruned,
@@ -2116,7 +2454,7 @@ fn search_depth<D: McDatapath>(
             // contains_mem is exact here.
             let any_new = out.meta.iter().any(|m| !visited.contains_mem(m.fp));
             if !any_new {
-                out = expand_chunk(&mut ctx, layout, &stack, g..g + 1, &visited, net, None)?;
+                out = expand_chunk(&mut ctx, net, &stack, g..g + 1, &visited, None)?;
             } else {
                 stats.ample_hits += 1;
                 stats.pruned += u64::from(pruned);
@@ -2126,14 +2464,14 @@ fn search_depth<D: McDatapath>(
         match &out.results[0] {
             StateOut::Terminal => {
                 stats.terminals += 1;
-                let regs = &stack.fixed(g)[layout.reg_base()..];
+                let regs = &stack.fixed(g)[net.reg_base()..];
                 match &outcome {
                     None => outcome = Some(regs.to_vec()),
                     Some(first) if first.as_slice() != regs => {
                         stats.states = visited.count;
                         let detail = diff_outcomes(
-                            &layout.decode_reg_words(first),
-                            &layout.decode_reg_words(regs),
+                            &net.decode_reg_words(first),
+                            &net.decode_reg_words(regs),
                         );
                         return Ok(McVerdict::Violation {
                             kind: McViolationKind::DivergentOutcome,
@@ -2161,7 +2499,7 @@ fn search_depth<D: McDatapath>(
                 let (mut fcur, mut pcur) = (0usize, 0usize);
                 for meta in &out.meta {
                     offs.push((fcur, pcur));
-                    fcur += layout.words;
+                    fcur += net.words;
                     pcur += meta.pend_len as usize;
                 }
                 // Push in event order: LIFO then dives along the
@@ -2178,7 +2516,7 @@ fn search_depth<D: McDatapath>(
                     }
                     let (f, p) = offs[i];
                     stack.push(
-                        &out.fixed[f..f + layout.words],
+                        &out.fixed[f..f + net.words],
                         &out.pend[p..p + meta.pend_len as usize],
                         Some(Arc::new(TraceNode {
                             prev: trace.clone(),
@@ -2193,7 +2531,7 @@ fn search_depth<D: McDatapath>(
     stats.states = visited.count;
     Ok(McVerdict::Verified {
         outcome: outcome
-            .map(|w| layout.decode_reg_words(&w))
+            .map(|w| net.decode_reg_words(&w))
             .unwrap_or_default(),
         stats,
     })
@@ -2221,83 +2559,6 @@ pub fn model_check_system(
         &stimuli,
         opts,
     )
-}
-
-/// Delivers one event, cascading machine firings into wire toggles and
-/// datapath responses. Synchronous level updates are applied within the
-/// same step; everything else joins `pending`.
-fn deliver<D: McDatapath>(
-    interps: &mut [Interp<'_>],
-    datapath: &mut D,
-    net: &NetCtx<'_>,
-    pending: &mut Vec<PendEv>,
-    immediate: &mut VecDeque<(usize, SignalId, bool)>,
-    ev: PendEv,
-) -> Result<(), (McViolationKind, String)> {
-    immediate.clear();
-    let v = ev.set.unwrap_or(!interps[ev.machine].value(ev.signal));
-    immediate.push_back((ev.machine, ev.signal, v));
-
-    let mut guard = 0usize;
-    while let Some((m, s, v)) = immediate.pop_front() {
-        guard += 1;
-        if guard > 10_000 {
-            return Err((
-                McViolationKind::Ambiguity,
-                "synchronous level cascade did not settle".into(),
-            ));
-        }
-        let changes = interps[m].set_input(s, v).map_err(|e| {
-            (
-                McViolationKind::Ambiguity,
-                format!("{}: {e}", interps[m].machine().name()),
-            )
-        })?;
-        for (out_sig, out_val) in changes {
-            // Channel wires: one toggle per receiving leg; a leg already
-            // carrying an undelivered toggle is transmission interference.
-            if let Some(ends) = net.fanout.get(&(m, out_sig)) {
-                for end in ends {
-                    let clash = pending.iter().any(|p| {
-                        p.machine == end.machine && p.signal == end.signal && p.set.is_none()
-                    });
-                    if clash {
-                        let name = interps[end.machine]
-                            .machine()
-                            .signal(end.signal)
-                            .map(|si| si.name.clone())
-                            .unwrap_or_default();
-                        return Err((
-                            McViolationKind::WireInterference,
-                            format!(
-                                "two events in flight on wire {} of {}",
-                                name,
-                                interps[end.machine].machine().name()
-                            ),
-                        ));
-                    }
-                    pending.push(PendEv {
-                        machine: end.machine,
-                        signal: end.signal,
-                        set: None,
-                    });
-                }
-            }
-            // Datapath reactions (delays dropped: all orders explored).
-            for (rm, rs, rv, _delay) in datapath.on_output(m, out_sig, out_val, 0) {
-                if net.sync_levels && net.levels.contains(&(rm, rs)) {
-                    immediate.push_back((rm, rs, rv));
-                } else {
-                    pending.push(PendEv {
-                        machine: rm,
-                        signal: rs,
-                        set: Some(rv),
-                    });
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 fn diff_outcomes(a: &[(Reg, i64)], b: &[(Reg, i64)]) -> String {
@@ -2329,7 +2590,7 @@ fn render_trace(
     evs.extend(last);
     evs.iter()
         .map(|e| {
-            let m = machines[e.machine];
+            let m = machines[e.machine()];
             let sig = m
                 .signal(e.signal)
                 .map(|si| si.name.clone())
@@ -2547,9 +2808,21 @@ fn hash_machine<H: Hasher>(h: &mut H, m: &XbmMachine) {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/common/program.rs"]
+mod test_programs;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::ChannelMap;
+    use crate::extract::{extract, ExpansionStyle, ExtractOptions, Extraction};
+    use crate::flow::{Flow, FlowOptions};
+    use crate::system::{system_parts, SystemDatapath, SystemDelays};
+    use adcs_cdfg::benchmarks::{diffeq, gcd, DiffeqParams};
+    use adcs_sim::network::{Datapath, WireEnd};
+    use adcs_xbm::interp::Interp;
     use adcs_xbm::{Term, XbmBuilder};
+    use proptest::prelude::*;
 
     /// in+ / out+ ; in- / out-.
     fn repeater(name: &str) -> XbmMachine {
@@ -2967,6 +3240,144 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
     }
 
+    /// The kind, detail and trace of a violation verdict.
+    fn violation(v: McVerdict) -> (McViolationKind, String, Vec<String>) {
+        match v {
+            McVerdict::Violation {
+                kind,
+                detail,
+                trace,
+                ..
+            } => (kind, detail, trace),
+            other => panic!("expected a violation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn two_enabled_transitions_are_an_ambiguity() {
+        // One input edge completes both bursts out of s0.
+        let mut b = XbmBuilder::new("amb");
+        let x = b.input("x", false);
+        let o = b.output("o", false);
+        let p = b.output("p", false);
+        let s0 = b.state("s0");
+        let s1 = b.state("s1");
+        let s2 = b.state("s2");
+        b.transition(s0, s1, [Term::rise(x)], [o]).unwrap();
+        b.transition(s0, s2, [Term::rise(x)], [p]).unwrap();
+        let m = b.finish(s0).unwrap();
+        let v = check(&[m], &[], &kick(0, x), &McOptions::default());
+        assert_eq!(
+            violation(v),
+            (
+                McViolationKind::Ambiguity,
+                "amb: structural violation: transitions #0 and #1 both enabled in q0".into(),
+                vec!["amb.x~".into()],
+            )
+        );
+    }
+
+    #[test]
+    fn a_machine_that_never_quiesces_is_a_livelock() {
+        // x+ stays true, so the two states hand the burst back and forth
+        // until the T^2 + 16 firing guard trips.
+        let mut b = XbmBuilder::new("live");
+        let x = b.input("x", false);
+        let o = b.output("o", false);
+        let s0 = b.state("s0");
+        let s1 = b.state("s1");
+        b.transition(s0, s1, [Term::rise(x)], [o]).unwrap();
+        b.transition(s1, s0, [Term::rise(x)], [o]).unwrap();
+        let m = b.finish(s0).unwrap();
+        let v = check(&[m], &[], &kick(0, x), &McOptions::default());
+        assert_eq!(
+            violation(v),
+            (
+                McViolationKind::Ambiguity,
+                "live: structural violation: machine live did not quiesce (livelock?)".into(),
+                vec!["live.x~".into()],
+            )
+        );
+    }
+
+    #[test]
+    fn an_event_into_an_output_is_rejected() {
+        let (ms, _, o, wires) = repeater_net(2, false);
+        let v = check(&ms, &wires, &kick(0, o), &McOptions::default());
+        assert_eq!(
+            violation(v),
+            (
+                McViolationKind::Ambiguity,
+                "m0: signal s1 used on the wrong side (expected input)".into(),
+                vec!["m0.out~".into()],
+            )
+        );
+    }
+
+    /// Echoes every toggle of machine 0's `out` back onto its `back`
+    /// input with the same value.
+    struct Echo {
+        out: SignalId,
+        back: SignalId,
+    }
+
+    impl McDatapath for Echo {
+        fn spec(&self) -> McDatapathSpec {
+            McDatapathSpec {
+                actions: vec![((0, self.out.index() as u32), vec![McAction::Ack(self.back)])],
+                ..McDatapathSpec::default()
+            }
+        }
+    }
+
+    #[test]
+    fn a_synchronous_level_loop_trips_the_cascade_guard() {
+        // `o` starts high, so every firing echoes the opposite of the
+        // level that caused it: a+ / o- echoes a- / o+ echoes a+ ... all
+        // inside one synchronous step, until the 10,000-step guard.
+        let mut b = XbmBuilder::new("osc");
+        let a = b.input("a", false);
+        let o = b.output("o", true);
+        let s0 = b.state("s0");
+        let s1 = b.state("s1");
+        b.transition(s0, s1, [Term::rise(a)], [o]).unwrap();
+        b.transition(s1, s0, [Term::fall(a)], [o]).unwrap();
+        let m = b.finish(s0).unwrap();
+        let stim = McStimuli {
+            kicks: vec![(0, a)],
+            levels: vec![(0, a)],
+            ..McStimuli::default()
+        };
+        let v = model_check(
+            &[&m],
+            &[],
+            Echo { out: o, back: a },
+            &stim,
+            &McOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(
+            violation(v),
+            (
+                McViolationKind::Ambiguity,
+                "synchronous level cascade did not settle".into(),
+                vec!["osc.a~".into()],
+            )
+        );
+    }
+
+    #[test]
+    fn more_machines_than_the_event_packing_holds_is_a_precondition_error() {
+        let m = repeater("m");
+        let i = m.signal_by_name("in").unwrap();
+        let refs = vec![&m; usize::from(u16::MAX) + 1];
+        let r = model_check(&refs, &[], (), &kick(0, i), &McOptions::default());
+        assert!(
+            matches!(&r, Err(SynthError::Precondition(msg)) if msg.contains("16 bits")),
+            "{r:?}"
+        );
+    }
+
     #[test]
     fn malformed_stimuli_and_wires_error_instead_of_panicking() {
         let (ms, i, _, wires) = repeater_net(2, false);
@@ -2988,5 +3399,266 @@ mod tests {
         let bad_sig = kick(0, SignalId::from_raw(10_000));
         let r = model_check(&refs, &wires, (), &bad_sig, &McOptions::default());
         assert!(matches!(r, Err(SynthError::Precondition(_))), "{r:?}");
+    }
+
+    /// The semantics the compiled step reproduces: one burst-mode
+    /// interpreter per machine and the simulator's datapath.
+    struct Reference<'m> {
+        interps: Vec<Interp<'m>>,
+        dp: SystemDatapath,
+        fanout: HashMap<(usize, SignalId), Vec<WireEnd>>,
+        levels: HashSet<(usize, SignalId)>,
+        sync: bool,
+    }
+
+    impl Reference<'_> {
+        fn deliver(&mut self, pend: &mut Vec<PendEv>, ev: PendEv) -> Result<(), StepError> {
+            let mut immediate = VecDeque::new();
+            let v = ev
+                .set
+                .unwrap_or(!self.interps[ev.machine()].value(ev.signal));
+            immediate.push_back((ev.machine(), ev.signal, v));
+            let mut guard = 0usize;
+            while let Some((m, s, v)) = immediate.pop_front() {
+                guard += 1;
+                if guard > CASCADE_GUARD {
+                    return Err((
+                        McViolationKind::Ambiguity,
+                        "synchronous level cascade did not settle".into(),
+                    ));
+                }
+                let name = self.interps[m].machine().name();
+                let changes = self.interps[m]
+                    .set_input(s, v)
+                    .map_err(|e| (McViolationKind::Ambiguity, format!("{name}: {e}")))?;
+                for (o, val) in changes {
+                    for end in self.fanout.get(&(m, o)).into_iter().flatten() {
+                        let clash = pend.iter().any(|p| {
+                            p.machine() == end.machine && p.signal == end.signal && p.set.is_none()
+                        });
+                        if clash {
+                            let target = self.interps[end.machine].machine();
+                            let sig = &target.signal(end.signal).unwrap().name;
+                            return Err((
+                                McViolationKind::WireInterference,
+                                format!("two events in flight on wire {sig} of {}", target.name()),
+                            ));
+                        }
+                        pend.push(PendEv::new(end.machine, end.signal, None));
+                    }
+                    for (rm, rs, rv, _) in self.dp.on_output(m, o, val, 0) {
+                        if self.sync && self.levels.contains(&(rm, rs)) {
+                            immediate.push_back((rm, rs, rv));
+                        } else {
+                            pend.push(PendEv::new(rm, rs, Some(rv)));
+                        }
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        /// The reference configuration in the compiled network's words.
+        fn encode(&self, net: &Net<'_>) -> Vec<u64> {
+            let mut w = vec![0u64; net.words];
+            for (m, it) in self.interps.iter().enumerate() {
+                net.set_state(&mut w, m, it.state().index() as u32);
+                for (s, _) in it.machine().signals() {
+                    net.put(&mut w, net.bit(m, s), it.value(s));
+                }
+            }
+            let (pbase, vbase) = (net.reg_base(), net.reg_base() + net.presence_words);
+            for (r, v) in self.dp.registers() {
+                let k = net
+                    .regs
+                    .binary_search(r)
+                    .expect("registers are in the universe");
+                w[pbase + k / 64] |= 1u64 << (k % 64);
+                w[vbase + k] = *v as u64;
+            }
+            w
+        }
+    }
+
+    /// Walks `walks` random delivery orders of a system through the
+    /// compiled step and the reference side by side, from the initial
+    /// levels until the network quiesces, fails, or `max_steps` events
+    /// were delivered. After every delivery the step's words must equal
+    /// the reference configuration's encoding and the pending lists must
+    /// match; a failing delivery must fail identically on both sides.
+    fn walks_agree(
+        parts: &SystemParts<'_>,
+        sync: bool,
+        mut rng: u64,
+        walks: usize,
+        max_steps: usize,
+    ) -> Result<(), String> {
+        let stimuli = McStimuli {
+            kicks: parts.kicks.clone(),
+            level_init: parts.level_init.clone(),
+            levels: parts.datapath.level_ends(),
+        };
+        let spec = parts.datapath.spec();
+        let net = Net::compile(&parts.machines, &parts.wires, &spec, &stimuli, sync).unwrap();
+        let mut fanout: HashMap<(usize, SignalId), Vec<WireEnd>> = HashMap::new();
+        for w in &parts.wires {
+            fanout
+                .entry((w.from.machine, w.from.signal))
+                .or_default()
+                .extend(w.to.iter().copied());
+        }
+        let start = Reference {
+            interps: parts.machines.iter().map(|m| Interp::new(m)).collect(),
+            dp: parts.datapath.clone(),
+            fanout,
+            levels: stimuli.levels.iter().copied().collect(),
+            sync,
+        };
+        let init_words = net.initial(&spec);
+        if init_words != start.encode(&net) {
+            return Err("initial words differ".into());
+        }
+        let mut scratch = StepScratch::default();
+        for walk in 0..walks {
+            let mut reference = Reference {
+                interps: start.interps.clone(),
+                dp: start.dp.clone(),
+                fanout: start.fanout.clone(),
+                levels: start.levels.clone(),
+                sync,
+            };
+            let mut w = init_words.clone();
+            let (mut pend, mut want_pend) = (Vec::new(), Vec::new());
+            // The first deliveries replay the initial levels; then each
+            // step picks an eligible event at random.
+            let mut events: Vec<PendEv> = stimuli
+                .level_init
+                .iter()
+                .map(|&(m, s, v)| PendEv::new(m, s, Some(v)))
+                .collect();
+            let settle = events.len();
+            for step in 0..max_steps {
+                if step >= settle {
+                    if step == settle {
+                        for &(m, s) in &stimuli.kicks {
+                            pend.push(PendEv::new(m, s, None));
+                            want_pend.push(PendEv::new(m, s, None));
+                        }
+                    }
+                    canonicalize(&mut pend);
+                    canonicalize(&mut want_pend);
+                    if pend != want_pend {
+                        return Err(format!("walk {walk} step {step}: pending lists differ"));
+                    }
+                    let eligible: Vec<usize> =
+                        (0..pend.len()).filter(|&i| eligible_at(&pend, i)).collect();
+                    if eligible.is_empty() {
+                        break;
+                    }
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    let i = eligible[(rng % eligible.len() as u64) as usize];
+                    let ev = pend.remove(i);
+                    want_pend.remove(i);
+                    events.push(ev);
+                }
+                let ev = events[step];
+                let got = net.step(&mut w, &mut pend, ev, &mut scratch);
+                let want = reference.deliver(&mut want_pend, ev);
+                if got != want {
+                    return Err(format!("walk {walk} step {step}: {got:?} vs {want:?}"));
+                }
+                if got.is_err() {
+                    break;
+                }
+                if w != reference.encode(&net) {
+                    return Err(format!(
+                        "walk {walk} step {step}: words differ after {ev:?}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The compiled step against the reference on random programs'
+        /// networks: baseline or GT/LT-optimized, synchronous levels or
+        /// racing.
+        #[test]
+        fn the_compiled_step_agrees_with_the_interpreter(
+            p in test_programs::program_strategy(),
+            optimized in 0usize..2,
+            sync in 0usize..2,
+            seed in 1u64..1_000_000,
+        ) {
+            let g = test_programs::build(&p);
+            let init = test_programs::initial();
+            let (cdfg, channels, controllers) = if optimized == 1 {
+                let opts = FlowOptions {
+                    verify_seeds: 1,
+                    ..FlowOptions::default()
+                };
+                let Ok(out) = Flow::new(g, init.clone()).run(&opts) else {
+                    return Ok(());
+                };
+                (out.cdfg, out.channels, out.controllers)
+            } else {
+                let channels = ChannelMap::per_arc(&g).unwrap();
+                let style = ExtractOptions {
+                    style: ExpansionStyle::Sequential,
+                };
+                let ex = extract(&g, &channels, &style).unwrap();
+                (g, channels, ex.controllers)
+            };
+            let ex = Extraction { controllers };
+            let parts = system_parts(&cdfg, &channels, &ex, init, SystemDelays::default()).unwrap();
+            prop_assert_eq!(walks_agree(&parts, sync == 1, seed, 8, 400), Ok(()));
+        }
+    }
+
+    #[test]
+    fn the_compiled_step_agrees_on_the_benchmark_networks() {
+        // Straight-line programs have no loops or branches; DIFFEQ and
+        // GCD add condition levels, synchronous cascades and sampled
+        // level terms.
+        let one_iter = DiffeqParams {
+            x0: 0,
+            y0: 1,
+            u0: 2,
+            dx: 1,
+            a: 1,
+        };
+        let d = diffeq(one_iter).unwrap();
+        let g = gcd(6, 4).unwrap();
+        for (cdfg, initial) in [(&d.cdfg, &d.initial), (&g.cdfg, &g.initial)] {
+            let channels = ChannelMap::per_arc(cdfg).unwrap();
+            let style = ExtractOptions {
+                style: ExpansionStyle::Sequential,
+            };
+            let base = extract(cdfg, &channels, &style).unwrap();
+            let out = Flow::new(cdfg.clone(), initial.clone())
+                .run(&FlowOptions::default())
+                .ok();
+            let mut nets = vec![(cdfg, &channels, base)];
+            if let Some(out) = &out {
+                let ex = Extraction {
+                    controllers: out.controllers.clone(),
+                };
+                nets.push((&out.cdfg, &out.channels, ex));
+            }
+            for (k, (cdfg, channels, ex)) in nets.iter().enumerate() {
+                let parts =
+                    system_parts(cdfg, channels, ex, initial.clone(), SystemDelays::default())
+                        .unwrap();
+                for sync in [true, false] {
+                    let seed = 0x9e37_79b9 + k as u64 * 2 + u64::from(sync);
+                    walks_agree(&parts, sync, seed, 12, 5_000).unwrap();
+                }
+            }
+        }
     }
 }

@@ -21,6 +21,7 @@ use adcs_xbm::SignalId;
 use crate::channel::ChannelMap;
 use crate::error::SynthError;
 use crate::extract::{ControllerSpec, Extraction, LocalRole, SignalRole};
+use crate::mc::{McAction, McDatapath, McDatapathSpec};
 
 /// Per-unit latency used for `Go` acknowledges.
 #[derive(Clone, Debug)]
@@ -74,51 +75,6 @@ impl SystemDatapath {
         self.regs.get(&Reg::new(name)).copied()
     }
 
-    /// Captures the mutable datapath state (the register file) as a
-    /// canonical sorted list, for checkpointing explorers.
-    pub fn save_state(&self) -> Vec<(Reg, i64)> {
-        let mut v: Vec<(Reg, i64)> = self.regs.iter().map(|(r, &x)| (r.clone(), x)).collect();
-        v.sort();
-        v
-    }
-
-    /// Restores a register-file snapshot taken with [`Self::save_state`].
-    ///
-    /// When the snapshot covers exactly the live register set (the steady
-    /// state under the model checker, which restores between every
-    /// successor expansion) the values are updated in place — no `Reg`
-    /// name clones, no map reallocation.
-    pub fn restore_state(&mut self, saved: &[(Reg, i64)]) {
-        if self.regs.len() == saved.len() {
-            let mut in_place = true;
-            for (r, v) in saved {
-                match self.regs.get_mut(r) {
-                    Some(slot) => *slot = *v,
-                    None => {
-                        in_place = false;
-                        break;
-                    }
-                }
-            }
-            if in_place {
-                return;
-            }
-        }
-        self.regs = saved.iter().cloned().collect();
-    }
-
-    /// Every register this datapath can ever hold: the current file plus
-    /// each statement destination (the only way a new register appears,
-    /// see [`Datapath::on_output`]). The model checker sizes its packed
-    /// state slots from this set.
-    pub fn register_universe(&self) -> Vec<Reg> {
-        let mut regs: Vec<Reg> = self.regs.keys().cloned().collect();
-        regs.extend(self.stmts.values().map(|s| s.dest.clone()));
-        regs.sort();
-        regs.dedup();
-        regs
-    }
-
     /// Hashes everything that determines how this datapath behaves under
     /// the model checker: actions, statement bodies, condition-level
     /// bindings, and the current register file — all in sorted order so
@@ -154,52 +110,40 @@ impl SystemDatapath {
     pub fn level_ends(&self) -> Vec<(usize, SignalId)> {
         self.levels.iter().map(|&(m, s, _)| (m, s)).collect()
     }
+}
 
-    /// Per-action dependence footprints for the model checker's
-    /// partial-order reduction, keyed by `(machine, raw output signal)`:
-    /// which registers the triggered statements read and write, which
-    /// acknowledge signals toggle back into the firing machine, and
-    /// which condition-level wire ends a write refreshes. Built from the
-    /// static action table, so it over-approximates any single run.
-    pub fn action_footprints(&self) -> HashMap<(usize, u32), crate::mc::McActionFootprint> {
-        let mut fps: HashMap<(usize, u32), crate::mc::McActionFootprint> = HashMap::new();
-        for (&key, actions) in &self.actions {
-            let fp = fps.entry(key).or_default();
-            for action in actions {
-                match action {
-                    Action::AckSmall(ack) | Action::AckOp(ack) => {
-                        fp.acks.push(ack.index() as u32);
-                    }
-                    Action::Write(node, stmt, ack) => {
-                        fp.acks.push(ack.index() as u32);
-                        let Some(s) = self.stmts.get(&(*node, *stmt)) else {
-                            continue;
-                        };
-                        if let Some(r) = s.lhs.reg() {
-                            fp.reads.push(r.clone());
-                        }
-                        if let Some(r) = s.rhs.as_ref().and_then(|o| o.reg()) {
-                            fp.reads.push(r.clone());
-                        }
-                        fp.writes.push(s.dest.clone());
-                        for (m, lvl, reg) in &self.levels {
-                            if *reg == s.dest {
-                                fp.levels.push((*m, lvl.index() as u32));
-                            }
-                        }
-                    }
-                }
-            }
-            fp.reads.sort();
-            fp.reads.dedup();
-            fp.writes.sort();
-            fp.writes.dedup();
-            fp.acks.sort_unstable();
-            fp.acks.dedup();
-            fp.levels.sort_unstable();
-            fp.levels.dedup();
+impl McDatapath for SystemDatapath {
+    /// The register file, the statement bodies (sorted by node and
+    /// statement), and the action table with delays dropped.
+    fn spec(&self) -> McDatapathSpec {
+        let mut keys: Vec<&(NodeId, usize)> = self.stmts.keys().collect();
+        keys.sort_by_key(|&&(n, i)| (n.index(), i));
+        let index: HashMap<&(NodeId, usize), usize> =
+            keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
+        let mut actions: Vec<((usize, u32), Vec<McAction>)> = self
+            .actions
+            .iter()
+            .map(|(&key, list)| {
+                let list = list
+                    .iter()
+                    .map(|a| match *a {
+                        Action::AckSmall(ack) | Action::AckOp(ack) => McAction::Ack(ack),
+                        Action::Write(node, stmt, ack) => McAction::Write {
+                            stmt: index.get(&(node, stmt)).copied(),
+                            ack,
+                        },
+                    })
+                    .collect();
+                (key, list)
+            })
+            .collect();
+        actions.sort_by_key(|(key, _)| *key);
+        McDatapathSpec {
+            regs: self.regs.iter().map(|(r, &v)| (r.clone(), v)).collect(),
+            stmts: keys.iter().map(|k| self.stmts[k].clone()).collect(),
+            actions,
+            levels: self.levels.clone(),
         }
-        fps
     }
 }
 

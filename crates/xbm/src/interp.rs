@@ -47,35 +47,6 @@ impl<'m> Interp<'m> {
         self.values[s.index()]
     }
 
-    /// Captures the mutable execution state — the current state and every
-    /// signal value — for checkpointing explorers (model checkers, DFS
-    /// verifiers).
-    pub fn snapshot(&self) -> (StateId, Vec<bool>) {
-        (self.state, self.values.clone())
-    }
-
-    /// Restores a snapshot previously taken with [`Self::snapshot`] from an
-    /// interpreter of the same machine.
-    ///
-    /// # Errors
-    ///
-    /// [`XbmError::Structure`] if the value vector's length does not match
-    /// this machine's signal count.
-    pub fn restore(&mut self, state: StateId, values: &[bool]) -> Result<(), XbmError> {
-        if values.len() != self.values.len() {
-            return Err(XbmError::Structure(format!(
-                "snapshot has {} values, machine {} has {} signals",
-                values.len(),
-                self.m.name(),
-                self.values.len()
-            )));
-        }
-        self.state = state;
-        self.values.clear();
-        self.values.extend_from_slice(values);
-        Ok(())
-    }
-
     /// Index of the unique enabled transition out of the current state, if
     /// any.
     ///

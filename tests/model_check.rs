@@ -337,3 +337,117 @@ fn gcd_baseline_with_conditionals_is_delay_insensitive() {
         other => panic!("expected verification, got {other:?}"),
     }
 }
+
+/// The verdicts `pinned_real_system_verdicts` renders, one
+/// `name<TAB>{verdict:?}` line each, in order.
+const PINNED: &str = include_str!("data/mc_pinned_verdicts.txt");
+
+/// A straight-line random program whose optimized network has two events
+/// in flight on one multiplexed channel within the flow's bounded budget.
+fn failing_random_parts() -> (adcs::flow::FlowOutcome, adcs_cdfg::benchmarks::RandomDesign) {
+    let d = adcs_cdfg::benchmarks::random_straight_line(8, 8, 3).unwrap();
+    let out = Flow::new(d.cdfg.clone(), d.initial.clone())
+        .run(&FlowOptions::default())
+        .unwrap();
+    (out, d)
+}
+
+#[test]
+fn pinned_real_system_verdicts() {
+    // Byte-for-byte verdicts (outcome or detail, trace, and every
+    // statistic) of checks on real SystemDatapath networks. Any change to
+    // delivery semantics, visit order, or the counters shows up here.
+    let mut got: Vec<(String, String)> = Vec::new();
+    let mut pin = |name: &str, v: McVerdict| got.push((name.to_string(), format!("{v:?}")));
+
+    let d = diffeq(one_iter()).unwrap();
+    let (channels, ex) = baseline_parts(&d);
+    let parts = system_parts(
+        &d.cdfg,
+        &channels,
+        &ex,
+        d.initial.clone(),
+        SystemDelays::default(),
+    )
+    .unwrap();
+    pin("diffeq_baseline_por", check(&parts, &McOptions::default()));
+    let full = McOptions {
+        por: false,
+        ..McOptions::default()
+    };
+    pin("diffeq_baseline_full", check(&parts, &full));
+    let race = McOptions {
+        synchronous_levels: false,
+        ..McOptions::default()
+    };
+    pin("diffeq_baseline_level_race", check(&parts, &race));
+
+    let out = Flow::new(d.cdfg.clone(), d.initial.clone())
+        .run(&FlowOptions::default())
+        .unwrap();
+    let ex = Extraction {
+        controllers: out.controllers.clone(),
+    };
+    let parts = system_parts(
+        &out.cdfg,
+        &out.channels,
+        &ex,
+        d.initial.clone(),
+        SystemDelays::default(),
+    )
+    .unwrap();
+    let hunt = McOptions {
+        synchronous_levels: false,
+        order: McOrder::Depth,
+        ..McOptions::default()
+    };
+    pin("diffeq_optimized_interference", check(&parts, &hunt));
+
+    use adcs_cdfg::benchmarks::gcd;
+    let g = gcd(2, 1).unwrap();
+    let channels = ChannelMap::per_arc(&g.cdfg).unwrap();
+    let ex = extract(
+        &g.cdfg,
+        &channels,
+        &ExtractOptions {
+            style: ExpansionStyle::Sequential,
+        },
+    )
+    .unwrap();
+    let parts = system_parts(
+        &g.cdfg,
+        &channels,
+        &ex,
+        g.initial.clone(),
+        SystemDelays::default(),
+    )
+    .unwrap();
+    pin("gcd_baseline", check(&parts, &McOptions::default()));
+
+    let (out, r) = failing_random_parts();
+    let ex = Extraction {
+        controllers: out.controllers.clone(),
+    };
+    let parts = system_parts(
+        &out.cdfg,
+        &out.channels,
+        &ex,
+        r.initial.clone(),
+        SystemDelays::default(),
+    )
+    .unwrap();
+    pin(
+        "random_8_optimized",
+        check(&parts, &FlowOptions::default().mc),
+    );
+
+    let rendered: String = got.iter().map(|(n, v)| format!("{n}\t{v}\n")).collect();
+    if rendered != PINNED {
+        let moved: Vec<&str> = got
+            .iter()
+            .filter(|(n, v)| !PINNED.contains(&format!("{n}\t{v}\n")))
+            .map(|(n, _)| n.as_str())
+            .collect();
+        panic!("pinned verdicts moved: {moved:?}; they now render as\n{rendered}");
+    }
+}
